@@ -12,7 +12,10 @@
 #      lifetime bugs would live; support_test exercises the Rng
 #      full-domain ranges whose old arithmetic was signed-overflow UB;
 #      the serve_dist tests cover the router/worker wire path, where a
-#      bounds bug in frame decoding would be a heap overread);
+#      bounds bug in frame decoding would be a heap overread) plus the
+#      compiled-evaluation, strategy and pipeline tests (the legality
+#      body's early exits over the reused EvalContext scratch, DeltaEval,
+#      and execute_pipeline's stage-to-stage value handoff);
 #   4. TSan build running the tier1 + serve + serve_dist + analyze +
 #      trace + fm_search + fm_strategy + fm_pipeline labels — the whole
 #      correctness suite
@@ -80,13 +83,16 @@ run_analyze() {
 }
 
 run_asan() {
-  echo "== ASan/UBSan: serve + analyze + support tests ==" &&
+  echo "== ASan/UBSan: serve + analyze + support + fm_compiled +" \
+       "fm_strategy + fm_pipeline tests ==" &&
   cmake -B build-asan -S . -DHARMONY_ASAN=ON &&
   cmake --build build-asan -j --target serve_test serve_ring_test \
     serve_wire_test serve_dist_test serve_stress_test \
     analyze_race_test analyze_lint_test analyze_exec_test \
-    analyze_witness_test support_test &&
-  ctest --test-dir build-asan --output-on-failure -R "serve|analyze|support"
+    analyze_witness_test support_test \
+    fm_compiled_test fm_strategy_test fm_pipeline_test &&
+  ctest --test-dir build-asan --output-on-failure \
+    -R "serve|analyze|support|fm_compiled|fm_strategy|fm_pipeline"
 }
 
 run_tsan() {

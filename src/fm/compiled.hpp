@@ -143,21 +143,24 @@ struct CompiledSpec {
 /// is one counter increment (a full wipe only on uint32 wraparound).
 class EvalContext {
  public:
+  /// slots and link_bits get their fixed sizes here (one slot per
+  /// element, one counter per directed link), so the verifier's hot
+  /// loop stores into them by index and never resizes them.
   explicit EvalContext(const CompiledSpec& cs)
-      : num_pes_(cs.num_pes),
+      : slots(static_cast<std::size_t>(cs.num_points)),
+        link_bits(cs.num_pes * 4),
+        num_pes_(cs.num_pes),
         delivered_(static_cast<std::size_t>(cs.num_input_values) * cs.num_pes,
                    0) {}
 
-  /// Pre-reserves every scratch buffer to its steady-state size for
-  /// `cs` so the first candidates of a search do not grow them inside
-  /// the hot loop (verify sizes them on use: slots/def_time/last_use/
-  /// owner_pe to num_points, events to 2x, link_bits to 4 per PE).
-  /// Purely an allocation accelerator — buffer *contents* are still
-  /// established per candidate exactly as before.
+  /// Pre-reserves the remaining scratch buffers to their steady-state
+  /// size for `cs` so the first candidates of a search do not grow them
+  /// inside the hot loop (verify sizes them on use: def_time/last_use/
+  /// owner_pe to num_points, events to 2x).  Purely an allocation
+  /// accelerator — buffer *contents* are still established per
+  /// candidate exactly as before.
   void reserve_scratch(const CompiledSpec& cs) {
     const auto n = static_cast<std::size_t>(cs.num_points);
-    slots.reserve(n);
-    link_bits.reserve(cs.num_pes * 4);
     def_time.reserve(n);
     last_use.reserve(n);
     owner_pe.reserve(n);

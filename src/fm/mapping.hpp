@@ -96,10 +96,12 @@ struct AffineMap {
   std::int64_t yi = 0, yj = 0, yk = 0, y0 = 0;
   int cols = 1, rows = 1;
 
-  [[nodiscard]] Cycle time(const Point& p) const {
+  // always_inline: the compiled evaluators call time/place per element
+  // and per dependence edge (fm/compiled.cpp).
+  [[nodiscard, gnu::always_inline]] Cycle time(const Point& p) const {
     return ti * p.i + tj * p.j + tk * p.k + t0;
   }
-  [[nodiscard]] noc::Coord place(const Point& p) const {
+  [[nodiscard, gnu::always_inline]] noc::Coord place(const Point& p) const {
     return noc::Coord{wrap(xi * p.i + xj * p.j + xk * p.k + x0, cols),
                       wrap(yi * p.i + yj * p.j + yk * p.k + y0, rows)};
   }
@@ -111,7 +113,7 @@ struct AffineMap {
   }
 
  private:
-  static int wrap(std::int64_t v, int m) {
+  [[gnu::always_inline]] static int wrap(std::int64_t v, int m) {
     const std::int64_t r = v % m;
     return static_cast<int>(r < 0 ? r + m : r);
   }

@@ -5,6 +5,7 @@
 #include <memory>
 #include <utility>
 
+#include "fm/strategy/table_map.hpp"
 #include "support/error.hpp"
 
 namespace harmony::fm {
@@ -403,6 +404,49 @@ Mapping stage_input_proto(const Pipeline& pipe, std::size_t s,
   }
   return build_proto(pipe, s, strategy, result.stages, pipe.size(), nullptr,
                      nullptr);
+}
+
+std::vector<ExecutionResult> execute_pipeline(
+    const Pipeline& pipe, const MachineConfig& machine, StrategyKind strategy,
+    const PipelineResult& result,
+    const std::vector<std::vector<double>>& external_inputs) {
+  HARMONY_REQUIRE(result.found && result.stages.size() == pipe.size(),
+                  "execute_pipeline: every stage needs a committed mapping");
+  const GridMachine gm(machine);
+  std::vector<ExecutionResult> out;
+  out.reserve(pipe.size());
+  std::size_t next_external = 0;
+  for (std::size_t s = 0; s < pipe.size(); ++s) {
+    const PipelineStage& st = pipe.stage(s);
+    const FunctionSpec& spec = *st.spec;
+    const TensorId target = spec.computed_tensors().front();
+    HARMONY_REQUIRE(spec.output_tensors() == std::vector<TensorId>{target},
+                    "execute_pipeline: stage " + st.name +
+                        " must output exactly its computed tensor");
+    std::vector<std::vector<double>> inputs;
+    inputs.reserve(st.inputs.size());
+    for (const StageInput& b : st.inputs) {
+      if (b.kind == StageInput::Kind::kProducer) {
+        inputs.push_back(out[b.producer].outputs.front());
+      } else {
+        HARMONY_REQUIRE(next_external < external_inputs.size(),
+                        "execute_pipeline: too few external inputs");
+        inputs.push_back(external_inputs[next_external++]);
+      }
+    }
+    const StageResult& sr = result.stages[s];
+    Mapping m;
+    if (strategy == StrategyKind::kExhaustive) {
+      m = stage_input_proto(pipe, s, strategy, result);
+      m.set_computed(target, sr.affine.place_fn(), sr.affine.time_fn());
+    } else {
+      m = to_mapping(spec, sr.table);
+    }
+    out.push_back(gm.run(spec, m, inputs));
+  }
+  HARMONY_REQUIRE(next_external == external_inputs.size(),
+                  "execute_pipeline: too many external inputs");
+  return out;
 }
 
 }  // namespace harmony::fm

@@ -207,4 +207,23 @@ struct PipelineResult {
                                         StrategyKind strategy,
                                         const PipelineResult& result);
 
+/// Pipeline's executed value oracle: runs every committed stage of
+/// `result` on the GridMachine, in stage (= topological) order, on real
+/// values.  Stage s runs under stage_input_proto(pipe, s, ...) plus its
+/// committed winner (a TableMap winner carries its own per-value input
+/// homes, which the tuner seeded from those same homes).  Its input
+/// vectors are `external_inputs` for kExternal bindings — one vector per
+/// such binding, in (stage, input ordinal) order — and the producer's
+/// executed output for kProducer bindings.  Returns one ExecutionResult
+/// per stage; outputs[0] holds the stage target's values.  The machine
+/// and the cost model share one timing and movement contract, so each
+/// stage's ledger equals its StageResult::cost.  Throws InvalidArgument
+/// when a stage has no committed mapping, a stage target is not its
+/// spec's only output, or the external input count is wrong;
+/// SimulationError when a stage mapping cannot execute.
+[[nodiscard]] std::vector<ExecutionResult> execute_pipeline(
+    const Pipeline& pipe, const MachineConfig& machine, StrategyKind strategy,
+    const PipelineResult& result,
+    const std::vector<std::vector<double>>& external_inputs);
+
 }  // namespace harmony::fm

@@ -249,6 +249,29 @@ void Service::run_group(std::vector<std::unique_ptr<Pending>>& group) {
   }
 }
 
+template <typename Opts>
+void Service::apply_tune_plumbing(const Pending& p,
+                                  const std::function<bool()>& user,
+                                  Opts& opts) {
+  // Fork into the service's shared pool.  We are already inside the
+  // dispatcher's batch session, so searches fork inline rather than
+  // opening a nested run(); the per-request lane ask is clamped by the
+  // service-level cap.
+  opts.scheduler = &scheduler_;
+  const unsigned cap =
+      cfg_.max_tune_workers == 0 ? cfg_.num_workers : cfg_.max_tune_workers;
+  opts.num_workers =
+      p.req.tune_workers == 0 ? cap : std::min(p.req.tune_workers, cap);
+  if (p.has_deadline) {
+    // Stop early enough that delivering the response beats the
+    // deadline; chain the caller-supplied cancel hook.
+    const Clock::time_point cutoff = p.deadline - cfg_.deadline_margin;
+    opts.cancel = [cutoff, user] {
+      return Clock::now() >= cutoff || (user && user());
+    };
+  }
+}
+
 Response Service::execute(const Pending& p) {
   const Request& req = p.req;
   // Named after the oracle ("cost_eval" / "legality" / "tune"): the
@@ -282,29 +305,12 @@ Response Service::execute(const Pending& p) {
         const std::shared_ptr<const fm::CompiledSpec> compiled =
             compiled_for(req);
         opts.compiled = compiled;
-        // Fork enumeration grains into the service's shared pool.  We
-        // are already inside the dispatcher's batch session, so the
-        // search forks inline rather than opening a nested run(); the
-        // per-request lane ask is clamped by the service-level cap.
-        opts.scheduler = &scheduler_;
-        const unsigned cap = cfg_.max_tune_workers == 0
-                                 ? cfg_.num_workers
-                                 : cfg_.max_tune_workers;
-        opts.num_workers =
-            req.tune_workers == 0 ? cap : std::min(req.tune_workers, cap);
-        if (p.has_deadline) {
-          // The parallel backend polls cancel once per grain, so a
-          // deadline tune runs single-slot grains: the overshoot past
-          // the cutoff is bounded by the candidates already in flight
-          // (at most one per lane) instead of a whole auto-sized grain.
-          if (opts.grain == fm::kAutoGrain) opts.grain = 1;
-          // Stop early enough that delivering the response beats the
-          // deadline; chain any caller-supplied cancel hook.
-          const Clock::time_point cutoff = p.deadline - cfg_.deadline_margin;
-          opts.cancel = [cutoff, user = req.search.cancel] {
-            return Clock::now() >= cutoff || (user && user());
-          };
-        }
+        apply_tune_plumbing(p, req.search.cancel, opts);
+        // The parallel backend polls cancel once per grain, so a
+        // deadline tune runs single-slot grains: the overshoot past the
+        // cutoff is bounded by the candidates already in flight (at most
+        // one per lane) instead of a whole auto-sized grain.
+        if (p.has_deadline && opts.grain == fm::kAutoGrain) opts.grain = 1;
         // Steal-count delta around the search: approximate when tunes
         // overlap in one batch (steals interleave), but cheap and a
         // faithful saturation signal in aggregate.
@@ -352,17 +358,7 @@ void Service::execute_strategy_tune(const Pending& p, Response& r) {
   // mapping (Response::deadline_cut).
   const std::shared_ptr<const fm::CompiledSpec> compiled = compiled_for(req);
   opts.compiled = compiled;
-  opts.scheduler = &scheduler_;
-  const unsigned cap =
-      cfg_.max_tune_workers == 0 ? cfg_.num_workers : cfg_.max_tune_workers;
-  opts.num_workers =
-      req.tune_workers == 0 ? cap : std::min(req.tune_workers, cap);
-  if (p.has_deadline) {
-    const Clock::time_point cutoff = p.deadline - cfg_.deadline_margin;
-    opts.cancel = [cutoff, user = req.strategy_opts.cancel] {
-      return Clock::now() >= cutoff || (user && user());
-    };
-  }
+  apply_tune_plumbing(p, req.strategy_opts.cancel, opts);
   const std::uint64_t steals_before = scheduler_.steal_count();
   r.strategy = fm::search_table(*req.spec, req.machine, input_proto(req),
                                 req.strategy, opts);
@@ -393,24 +389,11 @@ void Service::execute_pipeline_tune(const Pending& p, Response& r) {
   // compile cache, and a deadline cancel chained over any caller hook —
   // the pipeline tuner polls it between stages, between probes, and
   // inside every stage search, so a cut answers best-so-far.
-  opts.scheduler = &scheduler_;
-  const unsigned cap =
-      cfg_.max_tune_workers == 0 ? cfg_.num_workers : cfg_.max_tune_workers;
-  opts.num_workers =
-      req.tune_workers == 0 ? cap : std::min(req.tune_workers, cap);
-  if (p.has_deadline) {
-    if (req.strategy == fm::StrategyKind::kExhaustive &&
-        opts.search.grain == fm::kAutoGrain) {
-      opts.search.grain = 1;  // bound overshoot, as in the kTune path
-    }
-    const Clock::time_point cutoff = p.deadline - cfg_.deadline_margin;
-    const std::function<bool()> user =
-        req.strategy == fm::StrategyKind::kExhaustive
-            ? req.search.cancel
-            : req.strategy_opts.cancel;
-    opts.cancel = [cutoff, user] {
-      return Clock::now() >= cutoff || (user && user());
-    };
+  const bool exhaustive = req.strategy == fm::StrategyKind::kExhaustive;
+  apply_tune_plumbing(
+      p, exhaustive ? req.search.cancel : req.strategy_opts.cancel, opts);
+  if (p.has_deadline && exhaustive && opts.search.grain == fm::kAutoGrain) {
+    opts.search.grain = 1;  // bound overshoot, as in the kTune path
   }
   opts.compile = [this, &req](std::size_t stage, const fm::Mapping& proto,
                               std::uint64_t home_fp) {
@@ -442,21 +425,21 @@ void Service::execute_pipeline_tune(const Pending& p, Response& r) {
         fm::stage_input_proto(pipe, s, req.strategy, r.pipeline);
     const std::shared_ptr<const fm::CompiledSpec> compiled =
         compiled_for_stage(req, s, proto, st.home_fingerprint);
-    if (req.strategy == fm::StrategyKind::kExhaustive) {
-      fm::Mapping full = proto;
-      const fm::TensorId target = spec.computed_tensors().front();
-      full.set_computed(target, st.affine.place_fn(), st.affine.time_fn());
-      const auto lint = analyze::lint_mapping(spec, full, req.machine);
-      r.lint.insert(r.lint.end(), lint.diagnostics.begin(),
-                    lint.diagnostics.end());
-      check_winner_exec(r, analyze::build_exec_witness(*compiled, st.affine));
+    fm::Mapping full;
+    analyze::ExecWitness witness;
+    if (exhaustive) {
+      full = proto;
+      full.set_computed(spec.computed_tensors().front(), st.affine.place_fn(),
+                        st.affine.time_fn());
+      witness = analyze::build_exec_witness(*compiled, st.affine);
     } else {
-      const fm::Mapping full = fm::to_mapping(spec, st.table);
-      const auto lint = analyze::lint_mapping(spec, full, req.machine);
-      r.lint.insert(r.lint.end(), lint.diagnostics.begin(),
-                    lint.diagnostics.end());
-      check_winner_exec(r, analyze::build_exec_witness(*compiled, st.table));
+      full = fm::to_mapping(spec, st.table);
+      witness = analyze::build_exec_witness(*compiled, st.table);
     }
+    const auto lint = analyze::lint_mapping(spec, full, req.machine);
+    r.lint.insert(r.lint.end(), lint.diagnostics.begin(),
+                  lint.diagnostics.end());
+    check_winner_exec(r, witness);
   }
 }
 

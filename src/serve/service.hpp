@@ -159,6 +159,14 @@ class Service {
   /// certified through ExecChecker with its producer-substituted input
   /// homes (the diagnostics aggregate into Response::exec / lint).
   void execute_pipeline_tune(const Pending& p, Response& r);
+  /// The execution plumbing every tune path shares, written into its
+  /// options (fm::SearchOptions, StrategyOptions or PipelineOptions):
+  /// the service's scheduler, the request's lane ask clamped by the tune
+  /// lane cap, and — under a deadline only — a cancel that fires
+  /// deadline_margin early, chained over the caller's `user` hook.
+  template <typename Opts>
+  void apply_tune_plumbing(const Pending& p,
+                           const std::function<bool()>& user, Opts& opts);
   /// Post-hoc ExecChecker replay of a tune winner's execution witness
   /// (no-op unless ServiceConfig::check_exec).  Appends to Response::exec
   /// — pipeline tunes certify one winner per stage.

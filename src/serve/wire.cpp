@@ -687,12 +687,23 @@ class FdChannel final : public Channel {
     std::uint32_t len;
     std::memcpy(&len, len_buf, sizeof len);
     if (len < 9 || len > kMaxFrameBytes) return false;
-    std::vector<std::uint8_t> payload(len);
-    if (!read_all(fd_, payload.data(), payload.size())) return false;
-    Reader r(payload);
+    std::uint8_t hdr_buf[9];
+    if (!read_all(fd_, hdr_buf, sizeof hdr_buf)) return false;
+    Reader r(hdr_buf, sizeof hdr_buf);
     frame.type = static_cast<MsgType>(r.u8());
     frame.id = r.u64();
-    frame.body.assign(payload.begin() + 9, payload.end());
+    // The length prefix is only a claim: grow the body one bounded chunk
+    // at a time as bytes arrive, so memory tracks what the peer actually
+    // sent, not what it announced before stalling or hanging up.
+    constexpr std::size_t kChunk = std::size_t{1} << 16;
+    const std::size_t body_len = len - 9;
+    frame.body.clear();
+    while (frame.body.size() < body_len) {
+      const std::size_t have = frame.body.size();
+      const std::size_t n = std::min(kChunk, body_len - have);
+      frame.body.resize(have + n);
+      if (!read_all(fd_, frame.body.data() + have, n)) return false;
+    }
     return true;
   }
 

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <limits>
 #include <string_view>
+#include <tuple>
 
 #include "support/error.hpp"
 
@@ -125,6 +126,8 @@ Summary summarize(const Capture& cap) {
   std::uint64_t max_end = 0;
   // (begin, end) of chainable work spans for the critical-path scan.
   std::vector<std::pair<std::uint64_t, std::uint64_t>> work;
+  // (tid, begin, end) of every non-sleep span, for the busy-time union.
+  std::vector<std::tuple<std::uint32_t, std::uint64_t, std::uint64_t>> busy;
   for (const Event& e : cap.events) {
     if (e.kind != EventKind::kSpan) continue;
     WorkerSummary& w = worker(e.tid);
@@ -135,9 +138,29 @@ Summary summarize(const Capture& cap) {
       w.sleep_ns += e.end_ns - e.begin_ns;
       continue;  // waiting, not work: no busy time, no chain membership
     }
-    w.busy_ns += e.end_ns - e.begin_ns;
+    busy.emplace_back(e.tid, e.begin_ns, e.end_ns);
     if (is_steal(e)) w.steals += 1;
     if (e.end_ns > e.begin_ns) work.emplace_back(e.begin_ns, e.end_ns);
+  }
+  // Busy time is the union of a thread's non-sleep span intervals: a
+  // span nested in (or overlapping) another on the same thread — a serve
+  // exec span inside a steal span, grains inside either — adds only the
+  // time not already covered, so utilization is a duty cycle, <= 1.
+  std::sort(busy.begin(), busy.end());
+  for (std::size_t i = 0; i < busy.size();) {
+    const auto [tid, first_begin, first_end] = busy[i];
+    WorkerSummary& w = worker(tid);
+    std::uint64_t lo = first_begin;
+    std::uint64_t hi = first_end;
+    for (++i; i < busy.size() && std::get<0>(busy[i]) == tid; ++i) {
+      const std::uint64_t begin = std::get<1>(busy[i]);
+      if (begin > hi) {
+        w.busy_ns += hi - lo;
+        lo = begin;
+      }
+      hi = std::max(hi, std::get<2>(busy[i]));
+    }
+    w.busy_ns += hi - lo;
   }
   if (max_end >= min_begin) s.wall_ns = max_end - min_begin;
   for (WorkerSummary& w : s.workers) {

@@ -33,13 +33,12 @@ struct WorkerSummary {
   std::uint32_t tid = 0;
   std::string name;
   std::uint64_t spans = 0;    ///< span events (sleep included)
-  std::uint64_t busy_ns = 0;  ///< sum of span durations, sleep excluded
+  /// Union of the thread's non-sleep span intervals: nested and
+  /// overlapping spans count their covered time once.
+  std::uint64_t busy_ns = 0;
   std::uint64_t sleep_ns = 0; ///< sum of "sleep" span durations
   std::uint64_t steals = 0;   ///< sched/steal spans recorded by this thread
-  /// busy_ns / capture wall time.  busy_ns is a plain sum, so nested
-  /// spans (a serve exec span inside a sched steal span, grains inside
-  /// either) count every enclosing level and utilization can exceed 1 —
-  /// it is a span-weighted activity measure, not a duty cycle.
+  /// busy_ns / capture wall time: a duty cycle, at most 1.
   double utilization = 0.0;
 };
 

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "algos/editdist.hpp"
@@ -13,6 +14,7 @@
 #include "fm/compiled.hpp"
 #include "fm/idioms.hpp"
 #include "fm/search.hpp"
+#include "fm/strategy/table_map.hpp"
 #include "sched/scheduler.hpp"
 
 namespace harmony::fm {
@@ -266,42 +268,91 @@ TEST(CompiledCost, EvalContextReuseAcrossCandidatesIsClean) {
 TEST(CompiledLegality, VerifyOkAgreesWithFullVerifyAcrossTheFamily) {
   // The report-free short-circuit gate the search runs must agree with
   // the full verifier's ok bit on every candidate — legal, causality-
-  // violating, colliding, and negative-time alike.  Sweep the whole
-  // affine coefficient family the search enumerates.
+  // violating, colliding, negative-time, over-capacity and over-
+  // bandwidth alike.  Sweep the whole affine coefficient family the
+  // search enumerates on a roomy machine and on a starved one (tight
+  // per-PE storage, narrow links), under every combination of the
+  // optional checks, through both the AffineMap and the TableMap
+  // overloads.  verify_ok only reaches a later check's early exit when
+  // every earlier check passed, so the sweep must also produce
+  // candidates whose *only* violation is storage or bandwidth.
   algos::SwScores s;
   const FunctionSpec spec = algos::editdist_spec(6, 6, s);
-  const MachineConfig cfg = make_machine(6, 1);
+  const MachineConfig roomy = make_machine(6, 1);
+  MachineConfig starved = roomy;
+  starved.pe_capacity_values = 5;
+  starved.link_bits_per_cycle = 4.0;
   Mapping proto;
   for (TensorId in : spec.input_tensors()) {
     proto.set_input(in, InputHome::distributed(
                             block_distribution(spec.domain(in),
-                                               cfg.geom).place));
+                                               roomy.geom).place));
   }
-  const auto cs = compile_spec(spec, cfg, proto);
   const TensorId target = spec.computed_tensors()[0];
-  EvalContext ctx(*cs);
-  int checked = 0, legal = 0;
-  for (std::int64_t ti : {-1, 0, 1, 2}) {
-    for (std::int64_t tj : {0, 1, 2}) {
-      for (std::int64_t xi : {-1, 0, 1}) {
-        for (std::int64_t xj : {-1, 0, 1}) {
-          for (std::int64_t t0 : {0, 12}) {
-            const AffineMap map{.ti = ti, .tj = tj, .t0 = t0, .xi = xi,
-                                .xj = xj, .cols = 6, .rows = 1};
-            const bool full =
-                verify(spec, materialize(spec, target, map, proto), cfg).ok;
-            EXPECT_EQ(verify_ok(*cs, map, ctx), full)
-                << "ti=" << ti << " tj=" << tj << " xi=" << xi
-                << " xj=" << xj << " t0=" << t0;
-            ++checked;
-            legal += full ? 1 : 0;
+  VerifyOptions no_storage;
+  no_storage.check_storage = false;
+  VerifyOptions no_bandwidth;
+  no_bandwidth.check_bandwidth = false;
+
+  int checked = 0, legal = 0, negative = 0;
+  int causality = 0, exclusivity = 0, storage = 0, bandwidth = 0;
+  int storage_only = 0, bandwidth_only = 0;
+  for (const MachineConfig& cfg : {roomy, starved}) {
+    const auto cs = compile_spec(spec, cfg, proto);
+    EvalContext ctx(*cs);
+    for (const VerifyOptions& opts :
+         {VerifyOptions{}, no_storage, no_bandwidth}) {
+      for (std::int64_t ti : {-1, 0, 1, 2}) {
+        for (std::int64_t tj : {0, 1, 2}) {
+          for (std::int64_t xi : {-1, 0, 1}) {
+            for (std::int64_t xj : {-1, 0, 1}) {
+              for (std::int64_t t0 : {0, 12}) {
+                const AffineMap map{.ti = ti, .tj = tj, .t0 = t0, .xi = xi,
+                                    .xj = xj, .cols = 6, .rows = 1};
+                const std::string where =
+                    "cap=" + std::to_string(cfg.pe_capacity_values) +
+                    " storage=" + std::to_string(opts.check_storage) +
+                    " bandwidth=" + std::to_string(opts.check_bandwidth) +
+                    " ti=" + std::to_string(ti) + " tj=" +
+                    std::to_string(tj) + " xi=" + std::to_string(xi) +
+                    " xj=" + std::to_string(xj) + " t0=" +
+                    std::to_string(t0);
+                const LegalityReport full = verify(
+                    spec, materialize(spec, target, map, proto), cfg, opts);
+                const TableMap tm = table_from_affine(*cs, map);
+                EXPECT_EQ(verify_ok(*cs, map, ctx, opts), full.ok) << where;
+                EXPECT_EQ(verify_ok(*cs, tm, ctx, opts), full.ok) << where;
+                expect_legality_identical(verify(*cs, map, ctx, opts), full);
+                expect_legality_identical(verify(*cs, tm, ctx, opts), full);
+
+                ++checked;
+                legal += full.ok ? 1 : 0;
+                // tj >= 0 and ti >= -1: the earliest element is (5, 0).
+                negative += map.time(Point{5, 0}) < 0 ? 1 : 0;
+                causality += full.causality_violations > 0 ? 1 : 0;
+                exclusivity += full.exclusivity_violations > 0 ? 1 : 0;
+                storage += full.storage_violations > 0 ? 1 : 0;
+                bandwidth += full.bandwidth_violations > 0 ? 1 : 0;
+                const std::uint64_t total = full.total_violations();
+                storage_only += total > 0 && total == full.storage_violations;
+                bandwidth_only +=
+                    total > 0 && total == full.bandwidth_violations;
+              }
+            }
           }
         }
       }
     }
   }
-  EXPECT_EQ(checked, 216);
+  EXPECT_EQ(checked, 2 * 3 * 216);
   EXPECT_GT(legal, 0);  // the sweep must exercise the accepting path too
+  EXPECT_GT(negative, 0);
+  EXPECT_GT(causality, 0);
+  EXPECT_GT(exclusivity, 0);
+  EXPECT_GT(storage, 0);
+  EXPECT_GT(bandwidth, 0);
+  EXPECT_GT(storage_only, 0);
+  EXPECT_GT(bandwidth_only, 0);
 }
 
 TEST(CompiledSearch, WinnersMatchLegacyOraclesExactly) {

@@ -9,18 +9,23 @@
 //     conflicting layouts;
 //   * a join stage mixing an external home with producer-fixed homes;
 //   * greedy vs. paired on a chain engineered so the producer's locally
-//     best layout is the consumer's worst — paired must not lose.
+//     best layout is the consumer's worst — paired must not lose;
+//   * execute_pipeline, the executed value oracle: every stage's machine
+//     ledger equals its priced cost exactly, and the chain computes the
+//     host reference whichever tuner placed it.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
 
 #include "algos/editdist.hpp"
+#include "algos/fft.hpp"
 #include "algos/pipelines.hpp"
 #include "fm/cost.hpp"
 #include "fm/pipeline.hpp"
 #include "fm/search.hpp"
 #include "support/error.hpp"
+#include "support/rng.hpp"
 
 namespace harmony::fm {
 namespace {
@@ -289,6 +294,162 @@ TEST(Pipeline, StrategyStagesTuneTheIrregularChain) {
   const PipelineResult p = tune_pipeline_paired(pipe, machine, opts);
   ASSERT_TRUE(p.found);
   EXPECT_GT(p.probe_searches, 0u);
+}
+
+/// One random vector per external binding, in (stage, input ordinal)
+/// order — the layout execute_pipeline takes.  Values straddle zero so
+/// the scan chain's filter actually gates.
+std::vector<std::vector<double>> external_data(const Pipeline& pipe,
+                                               std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::vector<double>> out;
+  for (std::size_t s = 0; s < pipe.size(); ++s) {
+    const PipelineStage& st = pipe.stage(s);
+    const std::vector<TensorId> ins = st.spec->input_tensors();
+    for (std::size_t o = 0; o < ins.size(); ++o) {
+      if (st.inputs[o].kind != StageInput::Kind::kExternal) continue;
+      std::vector<double> v(
+          static_cast<std::size_t>(st.spec->domain(ins[o]).size()));
+      for (double& x : v) x = rng.next_double(-1.0, 1.0);
+      out.push_back(std::move(v));
+    }
+  }
+  return out;
+}
+
+/// The executed ledger against the priced cost, field for field and
+/// exactly: the machine and the compiled evaluator share one timing and
+/// movement contract.
+void expect_ledger_equals_cost(const ExecutionResult& run,
+                               const CostReport& cost,
+                               const std::string& where) {
+  EXPECT_EQ(run.makespan_cycles, cost.makespan_cycles) << where;
+  EXPECT_EQ(run.compute_energy.femtojoules(),
+            cost.compute_energy.femtojoules()) << where;
+  EXPECT_EQ(run.onchip_movement_energy.femtojoules(),
+            cost.onchip_movement_energy.femtojoules()) << where;
+  EXPECT_EQ(run.local_access_energy.femtojoules(),
+            cost.local_access_energy.femtojoules()) << where;
+  EXPECT_EQ(run.dram_energy.femtojoules(), cost.dram_energy.femtojoules())
+      << where;
+  EXPECT_EQ(run.messages, cost.messages) << where;
+  EXPECT_EQ(run.bit_hops, cost.bit_hops) << where;
+}
+
+/// Tunes `pipe` greedy and paired under `opts`, executes both, pins every
+/// stage ledger to its priced cost, and returns the paired run's final
+/// stage output after checking the greedy run computed the same values.
+std::vector<double> execute_both_tuners(const Pipeline& pipe,
+                                        const MachineConfig& machine,
+                                        const PipelineOptions& opts,
+                                        const std::string& name) {
+  const std::vector<std::vector<double>> ext = external_data(pipe, 7);
+  std::vector<std::vector<double>> finals;
+  for (const bool paired : {false, true}) {
+    const std::string where = name + (paired ? " paired" : " greedy");
+    const PipelineResult r = paired
+                                 ? tune_pipeline_paired(pipe, machine, opts)
+                                 : tune_pipeline_greedy(pipe, machine, opts);
+    EXPECT_TRUE(r.found) << where;
+    if (!r.found) return {};
+    const std::vector<ExecutionResult> runs =
+        execute_pipeline(pipe, machine, opts.strategy, r, ext);
+    EXPECT_EQ(runs.size(), pipe.size()) << where;
+    for (std::size_t s = 0; s < runs.size(); ++s) {
+      expect_ledger_equals_cost(runs[s], r.stages[s].cost,
+                                where + " stage " + r.stages[s].name);
+    }
+    finals.push_back(runs.back().outputs.front());
+  }
+  EXPECT_EQ(finals[0], finals[1]) << name;
+  return finals[1];
+}
+
+TEST(PipelineExecute, LedgersMatchCostAndOutputsMatchTheHostReference) {
+  const MachineConfig machine = make_machine(4, 1);
+  PipelineOptions opts;
+  opts.search = small_space();
+  opts.pair_candidates = 3;
+  const std::int64_t n = 16;
+
+  // scan -> filter -> scan.
+  {
+    const Pipeline pipe = algos::scan_filter_scan_pipeline(n);
+    const std::vector<double> x = external_data(pipe, 7).front();
+    std::vector<double> want(x.size());
+    double scan = 0.0, rescan = 0.0;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      scan = x[i] + scan;
+      rescan = std::max(scan, 0.0) + rescan;
+      want[i] = rescan;
+    }
+    EXPECT_EQ(execute_both_tuners(pipe, machine, opts, "scan"), want);
+  }
+  // butterfly (stride n/2) -> bit-reverse shuffle -> butterfly (stride 1).
+  {
+    const Pipeline pipe = algos::fft_shuffle_fft_pipeline(n);
+    const std::vector<double> x = external_data(pipe, 7).front();
+    const auto butterfly = [](const std::vector<double>& v,
+                              std::int64_t stride) {
+      std::vector<double> y(v.size());
+      for (std::int64_t i = 0; i < static_cast<std::int64_t>(v.size());
+           ++i) {
+        const double self = v[static_cast<std::size_t>(i)];
+        const double partner = v[static_cast<std::size_t>(i ^ stride)];
+        y[static_cast<std::size_t>(i)] =
+            (i & stride) == 0 ? self + partner : partner - self;
+      }
+      return y;
+    };
+    const std::vector<double> hi = butterfly(x, n / 2);
+    std::vector<double> shuffled(hi.size());
+    for (std::int64_t i = 0; i < n; ++i) {
+      shuffled[static_cast<std::size_t>(i)] =
+          hi[static_cast<std::size_t>(algos::bit_reverse(i, 4))];
+    }
+    EXPECT_EQ(execute_both_tuners(pipe, machine, opts, "fft"),
+              butterfly(shuffled, 1));
+  }
+  // The diamond's join and the irregular chain: ledgers and greedy ==
+  // paired outputs (no closed-form reference needed for those).
+  EXPECT_FALSE(execute_both_tuners(algos::diamond_pipeline(8), machine, opts,
+                                   "diamond")
+                   .empty());
+  EXPECT_FALSE(execute_both_tuners(algos::irregular_chain_pipeline(24, 3,
+                                                                   0xdadULL),
+                                   machine, opts, "irregular")
+                   .empty());
+}
+
+TEST(PipelineExecute, AnnealedIrregularChainLedgersMatchCost) {
+  const Pipeline pipe = algos::irregular_chain_pipeline(24, 3, 0xdadULL);
+  const MachineConfig machine = make_machine(4, 1);
+  PipelineOptions opts;
+  opts.strategy = StrategyKind::kAnneal;
+  opts.strategy_opts.chains = 2;
+  opts.strategy_opts.epochs = 6;
+  opts.strategy_opts.iters_per_epoch = 48;
+  opts.pair_candidates = 2;
+  EXPECT_FALSE(
+      execute_both_tuners(pipe, machine, opts, "irregular anneal").empty());
+}
+
+TEST(PipelineExecute, RejectsUntunedResultsAndWrongInputCounts) {
+  const Pipeline pipe = algos::scan_filter_scan_pipeline(8);
+  const MachineConfig machine = make_machine(4, 1);
+  PipelineOptions opts;
+  opts.search = small_space();
+  const std::vector<std::vector<double>> ext = external_data(pipe, 1);
+  EXPECT_THROW((void)execute_pipeline(pipe, machine, opts.strategy,
+                                      PipelineResult{}, ext),
+               InvalidArgument);
+  const PipelineResult r = tune_pipeline_greedy(pipe, machine, opts);
+  ASSERT_TRUE(r.found);
+  EXPECT_THROW((void)execute_pipeline(pipe, machine, opts.strategy, r, {}),
+               InvalidArgument);
+  EXPECT_THROW((void)execute_pipeline(pipe, machine, opts.strategy, r,
+                                      {ext[0], ext[0]}),
+               InvalidArgument);
 }
 
 }  // namespace

@@ -14,8 +14,13 @@
 //     result cache serve a key the router hashed.
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <cstdint>
+#include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -338,6 +343,30 @@ TEST(Transport, SocketpairCrossesThreads) {
   }
   producer.join();
   EXPECT_EQ(received, kFrames);
+}
+
+TEST(Transport, SocketRecvDoesNotTrustTheAnnouncedLength) {
+  // A peer announces a maximal frame, sends a few bytes and hangs up.
+  // recv must report the short frame without first allocating the
+  // announced kMaxFrameBytes: peak RSS grows by well under 64 MB.
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  const std::shared_ptr<Channel> ch = channel_from_fd(fds[0]);
+  std::vector<std::uint8_t> bytes(4 + 16, 0x5a);
+  const std::uint32_t len = kMaxFrameBytes;
+  std::memcpy(bytes.data(), &len, sizeof len);
+  ASSERT_EQ(::write(fds[1], bytes.data(), bytes.size()),
+            static_cast<ssize_t>(bytes.size()));
+  ::close(fds[1]);
+
+  rusage before{};
+  ASSERT_EQ(::getrusage(RUSAGE_SELF, &before), 0);
+  Frame got;
+  EXPECT_FALSE(ch->recv(got));
+  rusage after{};
+  ASSERT_EQ(::getrusage(RUSAGE_SELF, &after), 0);
+  const long grown_kib = after.ru_maxrss - before.ru_maxrss;  // KiB on Linux
+  EXPECT_LT(grown_kib, 64L * 1024);
 }
 
 // ---------------------------------------------------------------------

@@ -441,6 +441,25 @@ TEST(TraceExport, SummarizerBusyTimeEqualsSumOfSpanDurations) {
   EXPECT_GT(t.rows(), 4u);
 }
 
+TEST(TraceExport, SummarizerBusyTimeIsTheUnionOfNestedAndOverlappingSpans) {
+  TraceSession session;
+  emit_span("w", "outer", 0, 100);
+  emit_span("w", "nested", 10, 40);     // inside outer
+  emit_span("w", "deeper", 20, 30);     // inside nested
+  emit_span("w", "overlap", 90, 120);   // straddles outer's end
+  session.stop();
+  const Summary s = summarize(session.capture());
+  ASSERT_EQ(s.wall_ns, 120u);
+  ASSERT_FALSE(s.workers.empty());
+  for (const WorkerSummary& w : s.workers) {
+    if (w.spans == 0) continue;
+    // A plain sum would read 100 + 30 + 10 + 30 = 170 ns.
+    EXPECT_EQ(w.busy_ns, 120u) << "tid " << w.tid;
+    EXPECT_LE(w.utilization, 1.0) << "tid " << w.tid;
+    EXPECT_DOUBLE_EQ(w.utilization, 1.0) << "tid " << w.tid;
+  }
+}
+
 TEST(TraceExport, SleepSpansExcludedFromBusyAndCriticalPath) {
   TraceSession session;
   emit_span("sched", "run", 0, 10);
