@@ -57,9 +57,8 @@ using BenchClock = std::chrono::steady_clock;
 
 namespace {
 
-constexpr auto kOk = static_cast<std::uint8_t>(serve::Status::kOk);
-constexpr auto kRejected =
-    static_cast<std::uint8_t>(serve::Status::kRejected);
+constexpr serve::Status kOk = serve::Status::kOk;
+constexpr serve::Status kRejected = serve::Status::kRejected;
 
 /// A router fronting `n` in-process worker shards over loopback
 /// channels (the same full wire path the tests pin; no fork, so the
@@ -127,7 +126,7 @@ void warm_fleet(Fleet& fleet, std::size_t n) {
   std::condition_variable cv;
   std::size_t done = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    fleet.router.submit(fresh_cost_req(), [&](const serve::WireResponse&) {
+    fleet.router.submit(fresh_cost_req(), [&](const serve::RoutedReply&) {
       std::lock_guard<std::mutex> lock(mu);
       ++done;
       cv.notify_all();
@@ -154,7 +153,7 @@ double measure_capacity(std::size_t n_requests) {
       ++inflight;
     }
     fleet.router.submit(fresh_cost_req(),
-                        [&](const serve::WireResponse&) {
+                        [&](const serve::RoutedReply&) {
                           std::lock_guard<std::mutex> lock(mu);
                           --inflight;
                           ++done;
@@ -193,7 +192,7 @@ SweepPoint run_open_loop(std::size_t shards, double fraction, double rate_rps,
   Fleet fleet(shards);
   warm_fleet(fleet, 64 * shards);
   std::vector<double> latency_us(n, 0.0);
-  std::vector<std::uint8_t> status(n, 0);
+  std::vector<serve::Status> status(n, kOk);
   std::mutex mu;
   std::condition_variable cv;
   std::size_t done = 0;
@@ -211,7 +210,7 @@ SweepPoint run_open_loop(std::size_t shards, double fraction, double rate_rps,
     std::this_thread::sleep_until(scheduled);
     fleet.router.submit(
         fresh_cost_req(),
-        [&, i, scheduled](const serve::WireResponse& r) {
+        [&, i, scheduled](const serve::RoutedReply& r) {
           // Open-loop latency: from the *scheduled* arrival, so both
           // the shard's service time and any router/admission queueing
           // (including submitter lag at overload) count.
@@ -221,7 +220,7 @@ SweepPoint run_open_loop(std::size_t shards, double fraction, double rate_rps,
                   .count();
           std::lock_guard<std::mutex> lock(mu);
           latency_us[i] = us;
-          status[i] = r.status;
+          status[i] = r.response.status;
           ++done;
           cv.notify_all();
         });
@@ -275,7 +274,7 @@ WarmRestart run_warm_restart() {
   {
     Fleet source(1);
     for (const serve::WireRequest& t : tunes) {
-      if (source.router.call(t).status != kOk) return wr;
+      if (source.router.call(t).response.status != kOk) return wr;
     }
     wr.source_compile_misses =
         source.router.shard_metrics(0).compile_misses;
@@ -289,7 +288,7 @@ WarmRestart run_warm_restart() {
 
   bool replay_all_hits = true;
   for (const serve::WireRequest& t : tunes) {
-    const serve::WireResponse r = restored.router.call(t);
+    const serve::Response r = restored.router.call(t).response;
     replay_all_hits = replay_all_hits && r.status == kOk && r.cache_hit;
   }
   const serve::WireMetrics after = restored.router.shard_metrics(0);

@@ -141,34 +141,4 @@ RemapCost reduce_tree_cost(std::size_t bits, noc::Coord root,
   return cost;
 }
 
-PipelineReport compose_pipeline(const std::vector<Stage>& stages,
-                                const MachineConfig& machine) {
-  PipelineReport rep;
-  for (std::size_t s = 0; s + 1 < stages.size(); ++s) {
-    const Stage& a = stages[s];
-    const Stage& b = stages[s + 1];
-    HARMONY_REQUIRE(a.dom == b.dom,
-                    "compose_pipeline: adjacent stages disagree on domain (" +
-                        a.name + " -> " + b.name + ")");
-    PipelineReport::Joint joint;
-    joint.between = a.name + " -> " + b.name;
-    // Pointwise alignment test.
-    bool aligned = true;
-    a.dom.for_each([&](const Point& p) {
-      if (!(a.output_dist.place(p) == b.input_dist.place(p))) {
-        aligned = false;
-      }
-    });
-    joint.aligned = aligned;
-    if (!aligned) {
-      joint.remap = remap_cost(a.dom, a.bits, a.output_dist, b.input_dist,
-                               machine);
-      rep.total_remap_energy += joint.remap.energy;
-      rep.total_messages += joint.remap.messages;
-    }
-    rep.joints.push_back(std::move(joint));
-  }
-  return rep;
-}
-
 }  // namespace harmony::fm

@@ -10,14 +10,14 @@
 //
 // This module provides named data distributions, the cost of remapping a
 // tensor between two distributions (analytic, and simulated on the
-// contention-aware MeshNetwork), the classic idioms as cost generators,
-// and a Pipeline composer that detects mapping mismatches and prices the
-// remap modules it inserts.
+// contention-aware MeshNetwork), and the classic idioms as cost
+// generators.  Composition itself — aligning a producer's committed
+// mapping with its consumer's and pricing the remap where they disagree
+// — lives in fm::Pipeline (fm/pipeline.hpp).
 #pragma once
 
 #include <functional>
 #include <string>
-#include <vector>
 
 #include "fm/domain.hpp"
 #include "fm/machine.hpp"
@@ -100,35 +100,5 @@ struct RemapCost {
 /// tree; counts both movement and the combine ops.
 [[nodiscard]] RemapCost reduce_tree_cost(std::size_t bits, noc::Coord root,
                                          const MachineConfig& machine);
-
-// --- modular composition ---------------------------------------------
-
-/// A pipeline stage: consumes its input in `input_dist`, produces its
-/// output in `output_dist` (both over `dom`).
-struct Stage {
-  std::string name;
-  IndexDomain dom;
-  std::size_t bits = 32;
-  Distribution input_dist;
-  Distribution output_dist;
-};
-
-struct PipelineReport {
-  /// One entry per adjacent stage pair: zero-cost if mappings aligned.
-  struct Joint {
-    std::string between;
-    bool aligned = false;
-    RemapCost remap;
-  };
-  std::vector<Joint> joints;
-  Energy total_remap_energy = Energy::zero();
-  std::uint64_t total_messages = 0;
-};
-
-/// Checks mapping alignment between consecutive stages; where the output
-/// distribution of stage s differs from the input distribution of stage
-/// s+1 (tested pointwise over the domain), a remap module is priced in.
-[[nodiscard]] PipelineReport compose_pipeline(const std::vector<Stage>& stages,
-                                              const MachineConfig& machine);
 
 }  // namespace harmony::fm

@@ -161,6 +161,17 @@ struct Response {
   [[nodiscard]] bool ok() const { return status == Status::kOk; }
 };
 
+/// True unless a deadline (or cancel hook) cut the answer short: the
+/// exhaustive search, the stochastic search and the pipeline tuner each
+/// report completion, and a tier the request did not run keeps its
+/// default `true`.  A non-converged answer is never cached and never
+/// snapshotted — a short deadline must not poison the answer for a
+/// patient caller.
+[[nodiscard]] inline bool converged(const Response& resp) {
+  return resp.search.exhausted && resp.strategy.completed &&
+         resp.pipeline.completed;
+}
+
 /// 128-bit cache key (two independently mixed 64-bit streams; the pair
 /// makes accidental collision odds negligible at serving cache sizes).
 struct CacheKey {

@@ -43,10 +43,10 @@ void Router::submit(const WireRequest& req, Callback on_reply) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (shutdown_ || shards_.empty()) {
-      WireResponse r;
-      r.status = static_cast<std::uint8_t>(Status::kRejected);
-      r.error = shards_.empty() ? "router has no shards"
-                                : "router shutting down";
+      RoutedReply r;
+      r.response.status = Status::kRejected;
+      r.response.error = shards_.empty() ? "router has no shards"
+                                         : "router shutting down";
       on_reply(r);
       return;
     }
@@ -99,17 +99,17 @@ void Router::submit(const WireRequest& req, Callback on_reply) {
   // Send outside the lock: the reply cannot beat the send, and a slow
   // kernel buffer must not stall every other submitter.
   if (!channel->send(Frame{MsgType::kSubmit, id, std::move(body)})) {
-    WireResponse r;
-    r.status = static_cast<std::uint8_t>(Status::kError);
+    Response r;
+    r.status = Status::kError;
     r.error = "shard channel closed";
     finish_ask(id, std::move(r));
   }
 }
 
-WireResponse Router::call(const WireRequest& req) {
-  std::promise<WireResponse> done;
-  std::future<WireResponse> fut = done.get_future();
-  submit(req, [&done](const WireResponse& r) { done.set_value(r); });
+RoutedReply Router::call(const WireRequest& req) {
+  std::promise<RoutedReply> done;
+  std::future<RoutedReply> fut = done.get_future();
+  submit(req, [&done](const RoutedReply& r) { done.set_value(r); });
   return fut.get();
 }
 
@@ -123,14 +123,14 @@ void Router::reader_loop(std::size_t shard) {
   Frame frame;
   while (channel->recv(frame)) {
     if (frame.type == MsgType::kReply) {
-      WireResponse resp;
+      Response resp;
       try {
         Reader r(frame.body);
         resp = decode_response(r);
         r.expect_end();
       } catch (const std::exception& e) {
-        resp = WireResponse{};
-        resp.status = static_cast<std::uint8_t>(Status::kError);
+        resp = Response{};
+        resp.status = Status::kError;
         resp.error = std::string("reply decode failed: ") + e.what();
       }
       finish_ask(frame.id, std::move(resp));
@@ -148,7 +148,7 @@ void Router::reader_loop(std::size_t shard) {
   fail_shard(shard, "shard channel closed");
 }
 
-void Router::finish_ask(std::uint64_t id, WireResponse resp) {
+void Router::finish_ask(std::uint64_t id, Response resp) {
   PendingAsk ask;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -172,23 +172,22 @@ void Router::finish_ask(std::uint64_t id, WireResponse resp) {
                      id, static_cast<std::uint64_t>(ask.shard),
                      ask.stolen ? 1 : 0);
   }
-  resp.shard = static_cast<std::uint32_t>(ask.shard);
-  resp.stolen = ask.stolen;
+  RoutedReply reply{std::move(resp), static_cast<std::uint32_t>(ask.shard),
+                    ask.stolen, false};
   for (std::size_t i = 0; i < ask.waiters.size(); ++i) {
-    WireResponse r = resp;
-    r.coalesced = i > 0;
-    ask.waiters[i](r);
+    reply.coalesced = i > 0;
+    ask.waiters[i](reply);
   }
 }
 
 void Router::fail_shard(std::size_t shard, const std::string& reason) {
-  std::vector<std::pair<std::uint64_t, WireResponse>> failed;
+  std::vector<std::pair<std::uint64_t, Response>> failed;
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (const auto& [id, ask] : pending_) {
       if (ask.shard != shard) continue;
-      WireResponse r;
-      r.status = static_cast<std::uint8_t>(Status::kError);
+      Response r;
+      r.status = Status::kError;
       r.error = reason;
       failed.emplace_back(id, std::move(r));
     }

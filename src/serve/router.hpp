@@ -54,6 +54,15 @@ struct RouterConfig {
   bool enable_steal = true;
 };
 
+/// A reply as the router delivers it: the shard's Response plus the
+/// delivery metadata the router stamps after it arrives.
+struct RoutedReply {
+  Response response;
+  std::uint32_t shard = 0;  ///< shard that answered
+  bool stolen = false;      ///< answered off the affinity shard
+  bool coalesced = false;   ///< attached to another request's flight
+};
+
 struct RouterStats {
   std::uint64_t routed = 0;     ///< frames sent to shards
   std::uint64_t coalesced = 0;  ///< waiters attached to an in-flight ask
@@ -64,7 +73,7 @@ struct RouterStats {
 
 class Router {
  public:
-  using Callback = std::function<void(const WireResponse&)>;
+  using Callback = std::function<void(const RoutedReply&)>;
 
   explicit Router(RouterConfig cfg = {});
   ~Router();  // shutdown()
@@ -79,12 +88,11 @@ class Router {
 
   /// Routes one request; `on_reply` runs on the shard's reader thread
   /// when the reply arrives (keep it cheap — the open-loop bench
-  /// records a timestamp and returns).  The reply carries delivery
-  /// metadata: shard, stolen, coalesced.
+  /// records a timestamp and returns).
   void submit(const WireRequest& req, Callback on_reply);
 
   /// submit() + wait.
-  [[nodiscard]] WireResponse call(const WireRequest& req);
+  [[nodiscard]] RoutedReply call(const WireRequest& req);
 
   /// Stops routing to `shard` and blocks until its in-flight requests
   /// have all been answered.  Zero requests are dropped or errored by
@@ -130,7 +138,7 @@ class Router {
   };
 
   void reader_loop(std::size_t shard);
-  void finish_ask(std::uint64_t id, WireResponse resp);
+  void finish_ask(std::uint64_t id, Response resp);
   /// Fails every pending ask routed to `shard` (reader saw EOF).
   void fail_shard(std::size_t shard, const std::string& reason);
   [[nodiscard]] Frame control(std::size_t shard, MsgType send_type,

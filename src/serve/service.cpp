@@ -21,6 +21,10 @@ fm::Mapping materialize_mapping(const Request& req,
   const auto computed = req.spec->computed_tensors();
   HARMONY_REQUIRE(computed.size() == 1,
                   "serve: spec must have exactly one computed tensor");
+  // AffineMap::place wraps modulo the map's grid: a zero extent (say,
+  // from a hostile wire frame) would divide by zero.
+  HARMONY_REQUIRE(map.cols > 0 && map.rows > 0,
+                  "serve: map.cols and map.rows must be positive");
   fm::Mapping m;
   m.set_computed(computed[0], map.place_fn(), map.time_fn());
   const auto inputs = req.spec->input_tensors();
@@ -224,18 +228,7 @@ void Service::run_group(std::vector<std::unique_ptr<Pending>>& group) {
     metrics_.on_diagnostics(computed.legality.diagnostics);
     metrics_.on_diagnostics(computed.lint);
     metrics_.on_diagnostics(computed.exec);
-    // Cut-short tunes (of either flavour) stay out of the cache: a short
-    // deadline must never poison the answer for a patient caller.
-    bool converged = true;
-    if (leader.req.kind == RequestKind::kTune) {
-      converged = leader.req.strategy == fm::StrategyKind::kExhaustive
-                      ? computed.search.exhausted
-                      : computed.strategy.completed;
-    } else if (leader.req.kind == RequestKind::kPipelineTune) {
-      converged = computed.pipeline.completed;
-    }
-    const bool store = leader.use_cache && computed.ok() && converged;
-    if (store) {
+    if (leader.use_cache && computed.ok() && converged(computed)) {
       cache_.put(leader.key, std::make_shared<Response>(computed));
     }
   }

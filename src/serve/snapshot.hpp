@@ -3,7 +3,7 @@
 // A shard restart without its caches is a stampede in waiting: every
 // key it owned storms the compile path at once when traffic returns.
 // CacheSnapshot captures the shard's *semantic* state — the encoded
-// (WireRequest, WireResponse) pairs of every exhausted, cacheable tune
+// (WireRequest, Response) pairs of every converged, cacheable tune
 // and every cost/legality answer it computed — and restore() replays
 // them into a fresh Worker: results re-enter the result cache via
 // Service::warm(), and each distinct tune triple re-enters the compile
@@ -26,11 +26,12 @@ namespace harmony::serve {
 
 struct SnapshotEntry {
   std::vector<std::uint8_t> request;   ///< encoded WireRequest
-  std::vector<std::uint8_t> response;  ///< encoded WireResponse
+  std::vector<std::uint8_t> response;  ///< encoded Response (wire.hpp)
 };
 
 struct CacheSnapshot {
-  static constexpr std::uint32_t kVersion = 1;
+  /// 2: the response bytes no longer carry the router's delivery tail.
+  static constexpr std::uint32_t kVersion = 2;
   std::vector<SnapshotEntry> entries;
 };
 

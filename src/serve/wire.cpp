@@ -95,83 +95,136 @@ fm::AffineMap decode_map(Reader& r) {
   return m;
 }
 
-void encode_diag(Writer& w, const WireDiagnostic& d) {
+void encode_diag(Writer& w, const analyze::Diagnostic& d) {
   w.str(d.rule_id);
-  w.u8(d.severity);
-  w.str(d.op);
-  w.i64(d.pe);
-  w.i64(d.cycle);
+  w.u8(static_cast<std::uint8_t>(d.severity));
+  w.str(d.location.op);
+  w.i64(d.location.pe);
+  w.i64(d.location.cycle);
   w.str(d.message);
   w.str(d.hint);
 }
 
-WireDiagnostic decode_diag(Reader& r) {
-  WireDiagnostic d;
+analyze::Diagnostic decode_diag(Reader& r) {
+  analyze::Diagnostic d;
   d.rule_id = r.str();
-  d.severity = r.u8();
-  d.op = r.str();
-  d.pe = r.i64();
-  d.cycle = r.i64();
+  const std::uint8_t severity = r.u8();
+  if (severity > 2) throw WireError("Diagnostic: bad severity");
+  d.severity = static_cast<analyze::Severity>(severity);
+  d.location.op = r.str();
+  d.location.pe = static_cast<std::int32_t>(r.i64());
+  d.location.cycle = r.i64();
   d.message = r.str();
   d.hint = r.str();
   return d;
 }
 
-void encode_diags(Writer& w, const std::vector<WireDiagnostic>& v) {
+void encode_diags(Writer& w, const std::vector<analyze::Diagnostic>& v) {
   w.u32(static_cast<std::uint32_t>(v.size()));
-  for (const WireDiagnostic& d : v) encode_diag(w, d);
+  for (const analyze::Diagnostic& d : v) encode_diag(w, d);
 }
 
-std::vector<WireDiagnostic> decode_diags(Reader& r) {
+std::vector<analyze::Diagnostic> decode_diags(Reader& r) {
   const std::uint32_t n = r.u32();
-  std::vector<WireDiagnostic> v;
+  std::vector<analyze::Diagnostic> v;
   v.reserve(std::min<std::size_t>(n, 1024));
   for (std::uint32_t i = 0; i < n; ++i) v.push_back(decode_diag(r));
   return v;
 }
 
-std::vector<WireDiagnostic> to_wire_diags(
-    const std::vector<analyze::Diagnostic>& diags) {
-  std::vector<WireDiagnostic> v;
-  v.reserve(diags.size());
-  for (const analyze::Diagnostic& d : diags) v.push_back(to_wire(d));
-  return v;
+void encode_cost(Writer& w, const fm::CostReport& c) {
+  w.i64(c.makespan_cycles);
+  w.f64(c.makespan.picoseconds());
+  w.f64(c.compute_energy.femtojoules());
+  w.f64(c.onchip_movement_energy.femtojoules());
+  w.f64(c.local_access_energy.femtojoules());
+  w.f64(c.dram_energy.femtojoules());
+  w.u64(c.messages);
+  w.u64(c.bit_hops);
+  w.f64(c.total_ops);
 }
 
-std::vector<analyze::Diagnostic> from_wire_diags(
-    const std::vector<WireDiagnostic>& diags) {
-  std::vector<analyze::Diagnostic> v;
-  v.reserve(diags.size());
-  for (const WireDiagnostic& d : diags) v.push_back(from_wire(d));
-  return v;
+fm::CostReport decode_cost(Reader& r) {
+  fm::CostReport c;
+  c.makespan_cycles = r.i64();
+  c.makespan = Time::picoseconds(r.f64());
+  c.compute_energy = Energy::femtojoules(r.f64());
+  c.onchip_movement_energy = Energy::femtojoules(r.f64());
+  c.local_access_energy = Energy::femtojoules(r.f64());
+  c.dram_energy = Energy::femtojoules(r.f64());
+  c.messages = r.u64();
+  c.bit_hops = r.u64();
+  c.total_ops = r.f64();
+  return c;
+}
+
+void encode_legality(Writer& w, const fm::LegalityReport& l) {
+  w.b(l.ok);
+  w.u64(l.causality_violations);
+  w.u64(l.exclusivity_violations);
+  w.u64(l.storage_violations);
+  w.u64(l.bandwidth_violations);
+  w.i64(l.peak_live_values);
+  w.i64(l.peak_live_pe);
+  w.f64(l.peak_link_bits_per_cycle);
+  w.i64(l.peak_link);
+  encode_diags(w, l.diagnostics);
+}
+
+fm::LegalityReport decode_legality(Reader& r) {
+  fm::LegalityReport l;
+  l.ok = r.b();
+  l.causality_violations = r.u64();
+  l.exclusivity_violations = r.u64();
+  l.storage_violations = r.u64();
+  l.bandwidth_violations = r.u64();
+  l.peak_live_values = r.i64();
+  l.peak_live_pe = static_cast<std::int32_t>(r.i64());
+  l.peak_link_bits_per_cycle = r.f64();
+  l.peak_link = r.i64();
+  l.diagnostics = decode_diags(r);
+  return l;
+}
+
+/// The top-1 candidate and the search counters; `top` and `all_legal`
+/// stay in-process.
+void encode_search(Writer& w, const fm::SearchResult& s) {
+  w.b(s.found);
+  encode_map(w, s.best.map);
+  w.i64(s.best.cost.makespan_cycles);
+  w.f64(s.best.merit);
+  w.u64(s.best.slot);
+  w.u64(s.enumerated);
+  w.u64(s.quick_rejected);
+  w.u64(s.verify_rejected);
+  w.u64(s.legal);
+  w.b(s.exhausted);
+  w.u64(s.next_offset);
+  w.u32(s.workers_used);
+}
+
+/// `cost` is the already-decoded Response::cost, which is the best
+/// candidate's cost (Response::cost doc); only its makespan crosses
+/// separately.
+fm::SearchResult decode_search(Reader& r, const fm::CostReport& cost) {
+  fm::SearchResult s;
+  s.found = r.b();
+  s.best.map = decode_map(r);
+  s.best.cost = cost;
+  s.best.cost.makespan_cycles = r.i64();
+  s.best.merit = r.f64();
+  s.best.slot = r.u64();
+  s.enumerated = r.u64();
+  s.quick_rejected = r.u64();
+  s.verify_rejected = r.u64();
+  s.legal = r.u64();
+  s.exhausted = r.b();
+  s.next_offset = r.u64();
+  s.workers_used = r.u32();
+  return s;
 }
 
 }  // namespace
-
-WireDiagnostic to_wire(const analyze::Diagnostic& d) {
-  WireDiagnostic w;
-  w.rule_id = d.rule_id;
-  w.severity = static_cast<std::uint8_t>(d.severity);
-  w.op = d.location.op;
-  w.pe = d.location.pe;
-  w.cycle = d.location.cycle;
-  w.message = d.message;
-  w.hint = d.hint;
-  return w;
-}
-
-analyze::Diagnostic from_wire(const WireDiagnostic& d) {
-  if (d.severity > 2) throw WireError("WireDiagnostic: bad severity");
-  analyze::Diagnostic out;
-  out.rule_id = d.rule_id;
-  out.severity = static_cast<analyze::Severity>(d.severity);
-  out.location.op = d.op;
-  out.location.pe = static_cast<std::int32_t>(d.pe);
-  out.location.cycle = d.cycle;
-  out.message = d.message;
-  out.hint = d.hint;
-  return out;
-}
 
 void encode(Writer& w, const WireRequest& req) {
   w.u8(static_cast<std::uint8_t>(req.kind));
@@ -245,199 +298,43 @@ WireRequest decode_request(Reader& r) {
   return req;
 }
 
-void encode(Writer& w, const WireResponse& resp) {
-  w.u8(resp.status);
-  w.u8(resp.kind);
+void encode(Writer& w, const Response& resp) {
+  w.u8(static_cast<std::uint8_t>(resp.status));
+  w.u8(static_cast<std::uint8_t>(resp.kind));
   w.b(resp.cache_hit);
   w.b(resp.deadline_cut);
-  w.i64(resp.makespan_cycles);
-  w.f64(resp.makespan_ps);
-  w.f64(resp.compute_fj);
-  w.f64(resp.onchip_fj);
-  w.f64(resp.local_fj);
-  w.f64(resp.dram_fj);
-  w.u64(resp.messages);
-  w.u64(resp.bit_hops);
-  w.f64(resp.total_ops);
-  w.b(resp.legal_ok);
-  w.u64(resp.causality);
-  w.u64(resp.exclusivity);
-  w.u64(resp.storage);
-  w.u64(resp.bandwidth);
-  w.i64(resp.peak_live_values);
-  w.i64(resp.peak_live_pe);
-  w.f64(resp.peak_link_bits_per_cycle);
-  w.i64(resp.peak_link);
-  encode_diags(w, resp.legality_diags);
-  w.b(resp.found);
-  encode_map(w, resp.best_map);
-  w.i64(resp.best_makespan_cycles);
-  w.f64(resp.best_merit);
-  w.u64(resp.best_slot);
-  w.u64(resp.enumerated);
-  w.u64(resp.quick_rejected);
-  w.u64(resp.verify_rejected);
-  w.u64(resp.legal);
-  w.b(resp.exhausted);
-  w.u64(resp.next_offset);
-  w.u32(resp.workers_used);
+  encode_cost(w, resp.cost);
+  encode_legality(w, resp.legality);
+  encode_search(w, resp.search);
   encode_diags(w, resp.lint);
   w.b(resp.exec_checked);
   encode_diags(w, resp.exec);
   w.str(resp.error);
-  w.i64(resp.latency_ns);
-  w.i64(resp.retry_after_ns);
-  w.u32(resp.shard);
-  w.b(resp.stolen);
-  w.b(resp.coalesced);
+  w.i64(resp.latency.count());
+  w.i64(resp.retry_after.count());
 }
 
-WireResponse decode_response(Reader& r) {
-  WireResponse resp;
-  resp.status = r.u8();
-  resp.kind = r.u8();
+Response decode_response(Reader& r) {
+  Response resp;
+  const std::uint8_t status = r.u8();
+  if (status > 2) throw WireError("Response: bad status");
+  resp.status = static_cast<Status>(status);
+  const std::uint8_t kind = r.u8();
+  if (kind > static_cast<std::uint8_t>(RequestKind::kPipelineTune)) {
+    throw WireError("Response: bad kind");
+  }
+  resp.kind = static_cast<RequestKind>(kind);
   resp.cache_hit = r.b();
   resp.deadline_cut = r.b();
-  resp.makespan_cycles = r.i64();
-  resp.makespan_ps = r.f64();
-  resp.compute_fj = r.f64();
-  resp.onchip_fj = r.f64();
-  resp.local_fj = r.f64();
-  resp.dram_fj = r.f64();
-  resp.messages = r.u64();
-  resp.bit_hops = r.u64();
-  resp.total_ops = r.f64();
-  resp.legal_ok = r.b();
-  resp.causality = r.u64();
-  resp.exclusivity = r.u64();
-  resp.storage = r.u64();
-  resp.bandwidth = r.u64();
-  resp.peak_live_values = r.i64();
-  resp.peak_live_pe = r.i64();
-  resp.peak_link_bits_per_cycle = r.f64();
-  resp.peak_link = r.i64();
-  resp.legality_diags = decode_diags(r);
-  resp.found = r.b();
-  resp.best_map = decode_map(r);
-  resp.best_makespan_cycles = r.i64();
-  resp.best_merit = r.f64();
-  resp.best_slot = r.u64();
-  resp.enumerated = r.u64();
-  resp.quick_rejected = r.u64();
-  resp.verify_rejected = r.u64();
-  resp.legal = r.u64();
-  resp.exhausted = r.b();
-  resp.next_offset = r.u64();
-  resp.workers_used = r.u32();
+  resp.cost = decode_cost(r);
+  resp.legality = decode_legality(r);
+  resp.search = decode_search(r, resp.cost);
   resp.lint = decode_diags(r);
   resp.exec_checked = r.b();
   resp.exec = decode_diags(r);
   resp.error = r.str();
-  resp.latency_ns = r.i64();
-  resp.retry_after_ns = r.i64();
-  resp.shard = r.u32();
-  resp.stolen = r.b();
-  resp.coalesced = r.b();
-  return resp;
-}
-
-WireResponse to_wire(const Response& resp) {
-  WireResponse w;
-  w.status = static_cast<std::uint8_t>(resp.status);
-  w.kind = static_cast<std::uint8_t>(resp.kind);
-  w.cache_hit = resp.cache_hit;
-  w.deadline_cut = resp.deadline_cut;
-  w.makespan_cycles = resp.cost.makespan_cycles;
-  w.makespan_ps = resp.cost.makespan.picoseconds();
-  w.compute_fj = resp.cost.compute_energy.femtojoules();
-  w.onchip_fj = resp.cost.onchip_movement_energy.femtojoules();
-  w.local_fj = resp.cost.local_access_energy.femtojoules();
-  w.dram_fj = resp.cost.dram_energy.femtojoules();
-  w.messages = resp.cost.messages;
-  w.bit_hops = resp.cost.bit_hops;
-  w.total_ops = resp.cost.total_ops;
-  w.legal_ok = resp.legality.ok;
-  w.causality = resp.legality.causality_violations;
-  w.exclusivity = resp.legality.exclusivity_violations;
-  w.storage = resp.legality.storage_violations;
-  w.bandwidth = resp.legality.bandwidth_violations;
-  w.peak_live_values = resp.legality.peak_live_values;
-  w.peak_live_pe = resp.legality.peak_live_pe;
-  w.peak_link_bits_per_cycle = resp.legality.peak_link_bits_per_cycle;
-  w.peak_link = resp.legality.peak_link;
-  w.legality_diags = to_wire_diags(resp.legality.diagnostics);
-  w.found = resp.search.found;
-  w.best_map = resp.search.best.map;
-  w.best_makespan_cycles = resp.search.best.cost.makespan_cycles;
-  w.best_merit = resp.search.best.merit;
-  w.best_slot = resp.search.best.slot;
-  w.enumerated = resp.search.enumerated;
-  w.quick_rejected = resp.search.quick_rejected;
-  w.verify_rejected = resp.search.verify_rejected;
-  w.legal = resp.search.legal;
-  w.exhausted = resp.search.exhausted;
-  w.next_offset = resp.search.next_offset;
-  w.workers_used = resp.search.workers_used;
-  w.lint = to_wire_diags(resp.lint);
-  w.exec_checked = resp.exec_checked;
-  w.exec = to_wire_diags(resp.exec);
-  w.error = resp.error;
-  w.latency_ns = resp.latency.count();
-  w.retry_after_ns = resp.retry_after.count();
-  return w;
-}
-
-Response from_wire(const WireResponse& w) {
-  if (w.status > 2) throw WireError("WireResponse: bad status");
-  if (w.kind > static_cast<std::uint8_t>(RequestKind::kPipelineTune)) {
-    throw WireError("WireResponse: bad kind");
-  }
-  Response resp;
-  resp.status = static_cast<Status>(w.status);
-  resp.kind = static_cast<RequestKind>(w.kind);
-  resp.cache_hit = w.cache_hit;
-  resp.deadline_cut = w.deadline_cut;
-  resp.cost.makespan_cycles = w.makespan_cycles;
-  resp.cost.makespan = Time::picoseconds(w.makespan_ps);
-  resp.cost.compute_energy = Energy::femtojoules(w.compute_fj);
-  resp.cost.onchip_movement_energy = Energy::femtojoules(w.onchip_fj);
-  resp.cost.local_access_energy = Energy::femtojoules(w.local_fj);
-  resp.cost.dram_energy = Energy::femtojoules(w.dram_fj);
-  resp.cost.messages = w.messages;
-  resp.cost.bit_hops = w.bit_hops;
-  resp.cost.total_ops = w.total_ops;
-  resp.legality.ok = w.legal_ok;
-  resp.legality.causality_violations = w.causality;
-  resp.legality.exclusivity_violations = w.exclusivity;
-  resp.legality.storage_violations = w.storage;
-  resp.legality.bandwidth_violations = w.bandwidth;
-  resp.legality.peak_live_values = w.peak_live_values;
-  resp.legality.peak_live_pe = static_cast<std::int32_t>(w.peak_live_pe);
-  resp.legality.peak_link_bits_per_cycle = w.peak_link_bits_per_cycle;
-  resp.legality.peak_link = w.peak_link;
-  resp.legality.diagnostics = from_wire_diags(w.legality_diags);
-  resp.search.found = w.found;
-  resp.search.best.map = w.best_map;
-  // The best candidate's cost is the response cost (Response::cost doc);
-  // only top-1 crosses the wire — a client that wants the full top-k
-  // frontier runs in-process.
-  resp.search.best.cost = resp.cost;
-  resp.search.best.cost.makespan_cycles = w.best_makespan_cycles;
-  resp.search.best.merit = w.best_merit;
-  resp.search.best.slot = w.best_slot;
-  resp.search.enumerated = w.enumerated;
-  resp.search.quick_rejected = w.quick_rejected;
-  resp.search.verify_rejected = w.verify_rejected;
-  resp.search.legal = w.legal;
-  resp.search.exhausted = w.exhausted;
-  resp.search.next_offset = w.next_offset;
-  resp.search.workers_used = w.workers_used;
-  resp.lint = from_wire_diags(w.lint);
-  resp.exec_checked = w.exec_checked;
-  resp.exec = from_wire_diags(w.exec);
-  resp.error = w.error;
-  resp.latency = std::chrono::nanoseconds(w.latency_ns);
-  resp.retry_after = std::chrono::nanoseconds(w.retry_after_ns);
+  resp.latency = std::chrono::nanoseconds(r.i64());
+  resp.retry_after = std::chrono::nanoseconds(r.i64());
   return resp;
 }
 
@@ -551,14 +448,11 @@ CacheKey routing_key(const WireRequest& req) {
                   hash_bytes(bytes, 0x5e9f00d5c0a1e5ceULL)};
 }
 
-std::vector<std::uint8_t> semantic_bytes(const WireResponse& resp) {
-  WireResponse canon = resp;
+std::vector<std::uint8_t> semantic_bytes(const Response& resp) {
+  Response canon = resp;
   canon.cache_hit = false;
-  canon.latency_ns = 0;
-  canon.workers_used = 0;
-  canon.shard = 0;
-  canon.stolen = false;
-  canon.coalesced = false;
+  canon.latency = std::chrono::nanoseconds{0};
+  canon.search.workers_used = 0;
   Writer w;
   encode(w, canon);
   return w.take();

@@ -52,7 +52,7 @@ inline constexpr std::uint32_t kMaxFrameBytes = 1u << 30;
 
 enum class MsgType : std::uint8_t {
   kSubmit = 1,    ///< router -> shard: WireRequest body
-  kReply = 2,     ///< shard -> router: WireResponse body
+  kReply = 2,     ///< shard -> router: Response body
   kMetricsGet = 3,///< router -> shard: empty body
   kMetrics = 4,   ///< shard -> router: WireMetrics body
   kSnapshotGet = 5,  ///< router -> shard: empty body
@@ -188,74 +188,15 @@ struct WireRequest {
 void encode(Writer& w, const WireRequest& req);
 [[nodiscard]] WireRequest decode_request(Reader& r);
 
-/// Diagnostic flattened for the wire (analyze::Diagnostic holds strings
-/// and plain ints only, so this is a faithful round-trip).
-struct WireDiagnostic {
-  std::string rule_id;
-  std::uint8_t severity = 0;
-  std::string op;
-  std::int64_t pe = -1;
-  std::int64_t cycle = 0;
-  std::string message;
-  std::string hint;
-};
-
-[[nodiscard]] WireDiagnostic to_wire(const analyze::Diagnostic& d);
-[[nodiscard]] analyze::Diagnostic from_wire(const WireDiagnostic& d);
-
-/// Response payload: the Response fields a wire client can consume
-/// (everything except the in-process-only strategy/pipeline tiers),
-/// plus the router-stamped delivery metadata.
-struct WireResponse {
-  std::uint8_t status = 0;
-  std::uint8_t kind = 0;
-  bool cache_hit = false;
-  bool deadline_cut = false;
-  // CostReport.
-  std::int64_t makespan_cycles = 0;
-  double makespan_ps = 0;
-  double compute_fj = 0, onchip_fj = 0, local_fj = 0, dram_fj = 0;
-  std::uint64_t messages = 0, bit_hops = 0;
-  double total_ops = 0;
-  // LegalityReport.
-  bool legal_ok = true;
-  std::uint64_t causality = 0, exclusivity = 0, storage = 0, bandwidth = 0;
-  std::int64_t peak_live_values = 0, peak_live_pe = -1;
-  double peak_link_bits_per_cycle = 0;
-  std::int64_t peak_link = -1;
-  std::vector<WireDiagnostic> legality_diags;
-  // SearchResult (exhaustive tune).
-  bool found = false;
-  fm::AffineMap best_map;
-  std::int64_t best_makespan_cycles = 0;
-  double best_merit = 0;
-  std::uint64_t best_slot = 0;
-  std::uint64_t enumerated = 0, quick_rejected = 0, verify_rejected = 0,
-                legal = 0;
-  bool exhausted = true;
-  std::uint64_t next_offset = 0;
-  std::uint32_t workers_used = 1;
-  std::vector<WireDiagnostic> lint;
-  bool exec_checked = false;
-  std::vector<WireDiagnostic> exec;
-  std::string error;
-  std::int64_t latency_ns = 0;
-  std::int64_t retry_after_ns = 0;
-  // Delivery metadata, stamped by the router after the reply arrives.
-  std::uint32_t shard = 0;
-  bool stolen = false;     ///< answered off the affinity shard
-  bool coalesced = false;  ///< attached to another request's flight
-};
-
-void encode(Writer& w, const WireResponse& resp);
-[[nodiscard]] WireResponse decode_response(Reader& r);
-
-/// Builds the wire reply for a locally computed Response.  The
-/// strategy/pipeline tiers do not cross; a shard never produces them.
-[[nodiscard]] WireResponse to_wire(const Response& resp);
-/// Client-side view of a reply as a serve::Response (search.best is
-/// reconstructed with the best candidate's map and cost).
-[[nodiscard]] Response from_wire(const WireResponse& resp);
+/// Reply body: the Response fields a wire client can consume —
+/// everything except the in-process-only strategy/pipeline tiers, and
+/// of the exhaustive SearchResult only the top-1 candidate and the
+/// search counters.  decode_response rebuilds `search.best.cost` from
+/// `cost` (Response::cost doc) with the best candidate's makespan.
+/// Delivery metadata (shard, stolen, coalesced) is not part of the
+/// reply; the router stamps it on a RoutedReply.
+void encode(Writer& w, const Response& resp);
+[[nodiscard]] Response decode_response(Reader& r);
 
 /// Shard metrics crossing the wire: the counter subset of
 /// MetricsSnapshot plus the raw latency-bucket counts, so the router
@@ -288,12 +229,11 @@ void encode(Writer& w, const WireMetrics& m);
 /// encoding provides.
 [[nodiscard]] CacheKey routing_key(const WireRequest& req);
 
-/// The response's semantic payload serialized with delivery metadata
-/// (latency, cache_hit, shard, stolen, coalesced) zeroed — two replies
-/// to one query compare byte-identical iff the oracles agreed, which is
-/// the acceptance check for work-stealing correctness.
-[[nodiscard]] std::vector<std::uint8_t> semantic_bytes(
-    const WireResponse& resp);
+/// The response's wire encoding with the fields that describe *how* the
+/// answer was produced (cache_hit, latency, search.workers_used) zeroed
+/// — two replies to one query compare byte-identical iff the oracles
+/// agreed, which is the acceptance check for work-stealing correctness.
+[[nodiscard]] std::vector<std::uint8_t> semantic_bytes(const Response& resp);
 
 // ---------------------------------------------------------------------
 // Transport.

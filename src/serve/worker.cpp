@@ -53,17 +53,20 @@ void Worker::serve(std::shared_ptr<Channel> channel) {
           reply->key = routing_key(wire);
           reply->future = service_.submit(to_request(wire, catalog_));
         } catch (const std::exception& e) {
-          reply->immediate = true;
-          reply->error.status = static_cast<std::uint8_t>(Status::kError);
-          reply->error.error = e.what();
+          Response error;
+          error.status = Status::kError;
+          error.error = e.what();
+          std::promise<Response> ready;
+          ready.set_value(std::move(error));
+          reply->future = ready.get_future();
         }
         if (!replies_.try_push(std::move(reply))) {
           // Responder backlog full: shed load the same way the Service
           // sheds admission-queue overflow.
-          WireResponse rej;
-          rej.status = static_cast<std::uint8_t>(Status::kRejected);
+          Response rej;
+          rej.status = Status::kRejected;
           rej.error = "shard responder backlog full";
-          rej.retry_after_ns = cfg_.service.retry_after.count();
+          rej.retry_after = cfg_.service.retry_after;
           Writer w;
           encode(w, rej);
           channel->send(Frame{MsgType::kReply, frame.id, w.take()});
@@ -113,30 +116,21 @@ void Worker::responder_loop(Channel& channel) {
   trace::set_thread_name("serve-shard");
   std::unique_ptr<Reply> reply;
   while (replies_.pop(reply)) {
-    WireResponse wire;
-    if (reply->immediate) {
-      wire = reply->error;
-    } else {
-      const Response resp = reply->future.get();
-      wire = to_wire(resp);
-      // Log converged, freshly computed answers: deadline-cut tunes
-      // stay out (same rule as the result cache), and hits are already
-      // logged from the run that computed them.
-      const bool converged =
-          resp.kind != RequestKind::kTune || resp.search.exhausted;
-      if (resp.ok() && !resp.cache_hit && converged) {
-        std::lock_guard<std::mutex> lock(snap_mu_);
-        if (const auto it = snap_index_.find(reply->key);
-            it != snap_index_.end()) {
-          Writer w;
-          encode(w, wire);
-          snap_entries_[it->second].response = w.take();
-        } else if (snap_entries_.size() < cfg_.snapshot_capacity) {
-          Writer w;
-          encode(w, wire);
-          snap_index_.emplace(reply->key, snap_entries_.size());
-          snap_entries_.push_back(SnapshotEntry{reply->request, w.take()});
-        }
+    const Response resp = reply->future.get();
+    Writer w;
+    encode(w, resp);
+    std::vector<std::uint8_t> body = w.take();
+    // Log converged, freshly computed answers: deadline-cut tunes stay
+    // out (same rule as the result cache), and hits are already logged
+    // from the run that computed them.
+    if (resp.ok() && !resp.cache_hit && converged(resp)) {
+      std::lock_guard<std::mutex> lock(snap_mu_);
+      if (const auto it = snap_index_.find(reply->key);
+          it != snap_index_.end()) {
+        snap_entries_[it->second].response = body;
+      } else if (snap_entries_.size() < cfg_.snapshot_capacity) {
+        snap_index_.emplace(reply->key, snap_entries_.size());
+        snap_entries_.push_back(SnapshotEntry{reply->request, body});
       }
     }
     if (reply->begin_ns != 0 && trace::enabled()) {
@@ -146,9 +140,7 @@ void Worker::responder_loop(Channel& channel) {
       trace::emit_span("serve_dist", "shard", reply->begin_ns,
                        trace::now_ns(), reply->id);
     }
-    Writer w;
-    encode(w, wire);
-    channel.send(Frame{MsgType::kReply, reply->id, w.take()});
+    channel.send(Frame{MsgType::kReply, reply->id, std::move(body)});
   }
 }
 
@@ -166,11 +158,11 @@ std::uint64_t Worker::restore(const CacheSnapshot& snap) {
     const WireRequest wire_req = decode_request(rq);
     rq.expect_end();
     Reader rr(e.response);
-    const WireResponse wire_resp = decode_response(rr);
+    Response resp = decode_response(rr);
     rr.expect_end();
 
     const Request req = to_request(wire_req, catalog_);
-    service_.warm(req, from_wire(wire_resp));
+    service_.warm(req, std::move(resp));
     // The compile misses paid here are exactly the snapshot's miss set;
     // replaying the snapshot's keys afterwards compiles nothing.
     service_.precompile(req);

@@ -78,15 +78,12 @@ class Worker {
     std::uint64_t begin_ns = 0;
     CacheKey key;  ///< routing key (snapshot-log dedup)
     std::vector<std::uint8_t> request;  ///< canonical encoding (QoS zeroed)
+    /// The Service's answer, or an already-ready error reply when the
+    /// frame failed to decode or convert before submit.
     std::future<Response> future;
-    /// Pre-built error reply (decode/convert failed before submit).
-    bool immediate = false;
-    WireResponse error;
   };
 
   void responder_loop(Channel& channel);
-  void record(const std::vector<std::uint8_t>& request_bytes,
-              const WireResponse& resp);
 
   WorkerConfig cfg_;
   SpecCatalog catalog_;

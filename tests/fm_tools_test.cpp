@@ -116,23 +116,6 @@ TEST(Idioms, SimulatedRemapAtLeastAnalyticLatency) {
             analytic.latency.picoseconds() - 1e-9);
 }
 
-TEST(Idioms, PipelineDetectsAlignmentAndPricesRemaps) {
-  const MachineConfig cfg = make_machine(4, 1);
-  const IndexDomain dom(32);
-  const auto block = block_distribution(dom, cfg.geom);
-  const auto cyc = cyclic_distribution(dom, cfg.geom);
-  const std::vector<Stage> stages = {
-      {"produce", dom, 32, block, block},
-      {"aligned-consume", dom, 32, block, cyc},
-      {"misaligned-consume", dom, 32, block, block},
-  };
-  const PipelineReport rep = compose_pipeline(stages, cfg);
-  ASSERT_EQ(rep.joints.size(), 2u);
-  EXPECT_TRUE(rep.joints[0].aligned);   // block -> block
-  EXPECT_FALSE(rep.joints[1].aligned);  // cyclic -> block
-  EXPECT_GT(rep.total_remap_energy.femtojoules(), 0.0);
-}
-
 TEST(Idioms, TransposedDistribution) {
   const MachineConfig cfg = make_machine(2, 2);
   const IndexDomain dom(4, 4);

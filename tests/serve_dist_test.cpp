@@ -13,7 +13,9 @@
 //   * snapshot/restore warm-starts a fresh shard: replayed keys are
 //     cache hits and recompile nothing;
 //   * fleet metrics are merged (counters summed, histograms added),
-//     not averaged.
+//     not averaged;
+//   * hostile requests (unknown specs, in-process-only kinds, zero-extent
+//     maps) come back as kError and the shard keeps serving.
 
 #include <gtest/gtest.h>
 
@@ -33,9 +35,9 @@
 namespace harmony::serve {
 namespace {
 
-constexpr auto kOk = static_cast<std::uint8_t>(Status::kOk);
-constexpr auto kError = static_cast<std::uint8_t>(Status::kError);
-constexpr auto kRejected = static_cast<std::uint8_t>(Status::kRejected);
+constexpr Status kOk = Status::kOk;
+constexpr Status kError = Status::kError;
+constexpr Status kRejected = Status::kRejected;
 
 WorkerConfig small_worker() {
   WorkerConfig cfg;
@@ -113,10 +115,10 @@ TEST(ServeDist, CostEvalMatchesDirectServiceCall) {
   ASSERT_TRUE(expect.ok());
 
   Fleet fleet(2);
-  const WireResponse got = fleet.router.call(wire);
+  const Response got = fleet.router.call(wire).response;
   EXPECT_EQ(got.status, kOk);
-  EXPECT_EQ(semantic_bytes(got), semantic_bytes(to_wire(expect)));
-  EXPECT_EQ(got.makespan_cycles, expect.cost.makespan_cycles);
+  EXPECT_EQ(semantic_bytes(got), semantic_bytes(expect));
+  EXPECT_EQ(got.cost.makespan_cycles, expect.cost.makespan_cycles);
 }
 
 TEST(ServeDist, TuneMatchesDirectServiceCall) {
@@ -131,26 +133,28 @@ TEST(ServeDist, TuneMatchesDirectServiceCall) {
   ASSERT_TRUE(expect.search.found);
 
   Fleet fleet(2);
-  const WireResponse got = fleet.router.call(wire);
+  const Response got = fleet.router.call(wire).response;
   EXPECT_EQ(got.status, kOk);
-  EXPECT_TRUE(got.found);
-  EXPECT_EQ(got.best_makespan_cycles, expect.search.best.cost.makespan_cycles);
-  EXPECT_EQ(semantic_bytes(got), semantic_bytes(to_wire(expect)));
+  EXPECT_TRUE(got.search.found);
+  EXPECT_EQ(got.search.best.cost.makespan_cycles,
+            expect.search.best.cost.makespan_cycles);
+  EXPECT_EQ(semantic_bytes(got), semantic_bytes(expect));
 }
 
 TEST(ServeDist, RepeatQueryHitsAffinityShardCache) {
   Fleet fleet(4);
   const WireRequest wire = cost_req(8, 8, 4);
 
-  const WireResponse first = fleet.router.call(wire);
-  ASSERT_EQ(first.status, kOk);
-  EXPECT_FALSE(first.cache_hit);
+  const RoutedReply first = fleet.router.call(wire);
+  ASSERT_EQ(first.response.status, kOk);
+  EXPECT_FALSE(first.response.cache_hit);
 
-  const WireResponse second = fleet.router.call(wire);
-  ASSERT_EQ(second.status, kOk);
-  EXPECT_TRUE(second.cache_hit) << "same key must ride to the warm shard";
+  const RoutedReply second = fleet.router.call(wire);
+  ASSERT_EQ(second.response.status, kOk);
+  EXPECT_TRUE(second.response.cache_hit)
+      << "same key must ride to the warm shard";
   EXPECT_EQ(second.shard, first.shard);
-  EXPECT_EQ(semantic_bytes(second), semantic_bytes(first));
+  EXPECT_EQ(semantic_bytes(second.response), semantic_bytes(first.response));
 }
 
 TEST(ServeDist, DuplicateInFlightQueriesCoalesce) {
@@ -160,13 +164,13 @@ TEST(ServeDist, DuplicateInFlightQueriesCoalesce) {
   const WireRequest wire = cost_req(10, 10, 4);
 
   constexpr int kBurst = 16;
-  std::vector<std::promise<WireResponse>> done(kBurst);
-  std::vector<std::future<WireResponse>> futs;
+  std::vector<std::promise<RoutedReply>> done(kBurst);
+  std::vector<std::future<RoutedReply>> futs;
   futs.reserve(kBurst);
   for (int i = 0; i < kBurst; ++i) futs.push_back(done[i].get_future());
   for (int i = 0; i < kBurst; ++i) {
     fleet.router.submit(
-        wire, [&done, i](const WireResponse& r) { done[i].set_value(r); });
+        wire, [&done, i](const RoutedReply& r) { done[i].set_value(r); });
   }
 
   const RouterStats pre = fleet.router.stats();
@@ -177,11 +181,11 @@ TEST(ServeDist, DuplicateInFlightQueriesCoalesce) {
   int coalesced = 0;
   std::vector<std::uint8_t> leader_bytes;
   for (int i = 0; i < kBurst; ++i) {
-    const WireResponse r = futs[i].get();
-    EXPECT_EQ(r.status, kOk);
+    const RoutedReply r = futs[i].get();
+    EXPECT_EQ(r.response.status, kOk);
     coalesced += r.coalesced ? 1 : 0;
-    if (leader_bytes.empty()) leader_bytes = semantic_bytes(r);
-    EXPECT_EQ(semantic_bytes(r), leader_bytes);
+    if (leader_bytes.empty()) leader_bytes = semantic_bytes(r.response);
+    EXPECT_EQ(semantic_bytes(r.response), leader_bytes);
   }
   EXPECT_EQ(coalesced, kBurst - 1);
 }
@@ -191,18 +195,18 @@ TEST(ServeDist, DeadlineRequestsOptOutOfCoalescing) {
   WireRequest wire = cost_req(6, 6, 2);
   wire.deadline_ns = 1'000'000'000;  // patient, but deadline-carrying
 
-  std::promise<WireResponse> p1, p2;
+  std::promise<RoutedReply> p1, p2;
   fleet.router.submit(wire,
-                      [&p1](const WireResponse& r) { p1.set_value(r); });
+                      [&p1](const RoutedReply& r) { p1.set_value(r); });
   fleet.router.submit(wire,
-                      [&p2](const WireResponse& r) { p2.set_value(r); });
+                      [&p2](const RoutedReply& r) { p2.set_value(r); });
   const RouterStats pre = fleet.router.stats();
   EXPECT_EQ(pre.routed, 2u) << "deadline requests never coalesce";
   EXPECT_EQ(pre.coalesced, 0u);
 
   fleet.start_all();
-  EXPECT_EQ(p1.get_future().get().status, kOk);
-  EXPECT_EQ(p2.get_future().get().status, kOk);
+  EXPECT_EQ(p1.get_future().get().response.status, kOk);
+  EXPECT_EQ(p2.get_future().get().response.status, kOk);
 }
 
 TEST(ServeDist, StolenResultIsByteIdenticalToAffinityResult) {
@@ -212,25 +216,26 @@ TEST(ServeDist, StolenResultIsByteIdenticalToAffinityResult) {
   Fleet fleet(2, rcfg, /*start=*/false);
 
   const WireRequest wire = cost_req(9, 7, 4);
-  std::promise<WireResponse> p1, p2;
+  std::promise<RoutedReply> p1, p2;
   // First ask queues on the (idle) affinity shard; the second sees
   // outstanding 1 vs 0 and must steal to the other shard.
   fleet.router.submit(wire,
-                      [&p1](const WireResponse& r) { p1.set_value(r); });
+                      [&p1](const RoutedReply& r) { p1.set_value(r); });
   fleet.router.submit(wire,
-                      [&p2](const WireResponse& r) { p2.set_value(r); });
+                      [&p2](const RoutedReply& r) { p2.set_value(r); });
   EXPECT_EQ(fleet.router.stats().stolen, 1u);
 
   fleet.start_all();
-  const WireResponse affinity = p1.get_future().get();
-  const WireResponse stolen = p2.get_future().get();
-  ASSERT_EQ(affinity.status, kOk);
-  ASSERT_EQ(stolen.status, kOk);
+  const RoutedReply affinity = p1.get_future().get();
+  const RoutedReply stolen = p2.get_future().get();
+  ASSERT_EQ(affinity.response.status, kOk);
+  ASSERT_EQ(stolen.response.status, kOk);
   EXPECT_FALSE(affinity.stolen);
   EXPECT_TRUE(stolen.stolen);
   EXPECT_NE(affinity.shard, stolen.shard);
   // The steal traded cache affinity for queue depth — nothing else.
-  EXPECT_EQ(semantic_bytes(stolen), semantic_bytes(affinity));
+  EXPECT_EQ(semantic_bytes(stolen.response),
+            semantic_bytes(affinity.response));
 }
 
 TEST(ServeDist, DrainDropsNothingAndRejoinRestoresPlacement) {
@@ -244,8 +249,8 @@ TEST(ServeDist, DrainDropsNothingAndRejoinRestoresPlacement) {
   std::vector<std::uint32_t> owner;
   for (int n = 4; n < 12; ++n) {
     probes.push_back(cost_req(n, n + 1, 4));
-    const WireResponse r = fleet.router.call(probes.back());
-    EXPECT_EQ(r.status, kOk);
+    const RoutedReply r = fleet.router.call(probes.back());
+    EXPECT_EQ(r.response.status, kOk);
     owner.push_back(r.shard);
   }
   const auto owned_by = [&](std::uint32_t shard) -> const WireRequest* {
@@ -261,14 +266,14 @@ TEST(ServeDist, DrainDropsNothingAndRejoinRestoresPlacement) {
   // Concurrent open load while shard 0 drains.
   constexpr int kClients = 4;
   constexpr int kPerClient = 25;
-  std::vector<std::vector<std::uint8_t>> statuses(kClients);
+  std::vector<std::vector<Status>> statuses(kClients);
   std::vector<std::thread> clients;
   clients.reserve(kClients);
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
       for (int i = 0; i < kPerClient; ++i) {
         const WireRequest& req = probes[(c * kPerClient + i) % probes.size()];
-        statuses[c].push_back(fleet.router.call(req).status);
+        statuses[c].push_back(fleet.router.call(req).response.status);
       }
     });
   }
@@ -277,20 +282,20 @@ TEST(ServeDist, DrainDropsNothingAndRejoinRestoresPlacement) {
 
   for (const auto& client : statuses) {
     ASSERT_EQ(client.size(), static_cast<std::size_t>(kPerClient));
-    for (const std::uint8_t s : client) {
+    for (const Status s : client) {
       EXPECT_EQ(s, kOk) << "drain must not drop or error in-flight work";
     }
   }
 
   // Drained: shard 0's keys fall through to shard 1.
-  const WireResponse moved = fleet.router.call(*key0);
-  EXPECT_EQ(moved.status, kOk);
+  const RoutedReply moved = fleet.router.call(*key0);
+  EXPECT_EQ(moved.response.status, kOk);
   EXPECT_EQ(moved.shard, 1u);
 
   // Rejoined: the exact pre-drain placement returns.
   fleet.router.rejoin(0);
-  const WireResponse back = fleet.router.call(*key0);
-  EXPECT_EQ(back.status, kOk);
+  const RoutedReply back = fleet.router.call(*key0);
+  EXPECT_EQ(back.response.status, kOk);
   EXPECT_EQ(back.shard, 0u);
 }
 
@@ -303,8 +308,8 @@ TEST(ServeDist, SnapshotRestoreWarmStartsWithoutRecompiles) {
   std::uint64_t source_compile_misses = 0;
   {
     Fleet source(1);
-    const WireResponse ra = source.router.call(tune_a);
-    const WireResponse rb = source.router.call(tune_b);
+    const Response ra = source.router.call(tune_a).response;
+    const Response rb = source.router.call(tune_b).response;
     ASSERT_EQ(ra.status, kOk);
     ASSERT_EQ(rb.status, kOk);
     bytes_a = semantic_bytes(ra);
@@ -325,8 +330,8 @@ TEST(ServeDist, SnapshotRestoreWarmStartsWithoutRecompiles) {
 
   // Replaying the snapshot's keys: pure cache hits, zero new compiles,
   // answers byte-identical to the source shard's.
-  const WireResponse ra = restored.router.call(tune_a);
-  const WireResponse rb = restored.router.call(tune_b);
+  const Response ra = restored.router.call(tune_a).response;
+  const Response rb = restored.router.call(tune_b).response;
   ASSERT_EQ(ra.status, kOk);
   ASSERT_EQ(rb.status, kOk);
   EXPECT_TRUE(ra.cache_hit);
@@ -343,7 +348,7 @@ TEST(ServeDist, SnapshotRestoreWarmStartsWithoutRecompiles) {
 TEST(ServeDist, FleetMetricsMergeCountersAndHistograms) {
   Fleet fleet(2);
   for (int n = 4; n < 10; ++n) {
-    EXPECT_EQ(fleet.router.call(cost_req(n, n, 2)).status, kOk);
+    EXPECT_EQ(fleet.router.call(cost_req(n, n, 2)).response.status, kOk);
   }
 
   const WireMetrics s0 = fleet.router.shard_metrics(0);
@@ -374,23 +379,45 @@ TEST(ServeDist, UnknownSpecAndUnsupportedKindYieldErrorsNotDeath) {
 
   WireRequest bogus = cost_req(4, 4, 2);
   bogus.spec = "bogus:3";
-  const WireResponse r1 = fleet.router.call(bogus);
+  const Response r1 = fleet.router.call(bogus).response;
   EXPECT_EQ(r1.status, kError);
   EXPECT_NE(r1.error.find("unknown spec family"), std::string::npos);
 
   WireRequest pipeline = cost_req(4, 4, 2);
   pipeline.kind = RequestKind::kPipelineTune;
-  const WireResponse r2 = fleet.router.call(pipeline);
+  const Response r2 = fleet.router.call(pipeline).response;
   EXPECT_EQ(r2.status, kError);
   EXPECT_NE(r2.error.find("not supported"), std::string::npos);
 
   // The shard survives both: a well-formed follow-up still answers.
-  EXPECT_EQ(fleet.router.call(cost_req(4, 4, 2)).status, kOk);
+  EXPECT_EQ(fleet.router.call(cost_req(4, 4, 2)).response.status, kOk);
+}
+
+TEST(ServeDist, ZeroExtentMapYieldsErrorAndShardSurvives) {
+  // AffineMap::place wraps modulo map.cols / map.rows; a frame carrying
+  // a zero extent must come back as kError, not kill the shard process.
+  Fleet fleet(1);
+
+  WireRequest cost = cost_req(4, 4, 2);
+  cost.map.cols = 0;
+  const Response r1 = fleet.router.call(cost).response;
+  EXPECT_EQ(r1.status, kError);
+  EXPECT_NE(r1.error.find("map.cols"), std::string::npos);
+
+  WireRequest legality = cost_req(4, 4, 2);
+  legality.kind = RequestKind::kLegality;
+  legality.map.rows = 0;
+  const Response r2 = fleet.router.call(legality).response;
+  EXPECT_EQ(r2.status, kError);
+  EXPECT_NE(r2.error.find("map.cols"), std::string::npos);
+
+  // The shard answers the next request.
+  EXPECT_EQ(fleet.router.call(cost_req(4, 4, 2)).response.status, kOk);
 }
 
 TEST(ServeDist, RouterWithoutShardsRejects) {
   Router router;
-  const WireResponse r = router.call(cost_req(4, 4, 2));
+  const Response r = router.call(cost_req(4, 4, 2)).response;
   EXPECT_EQ(r.status, kRejected);
   EXPECT_NE(r.error.find("no shards"), std::string::npos);
 }

@@ -739,6 +739,41 @@ TEST(Service, NullSpecYieldsErrorResponseNotThrow) {
   EXPECT_FALSE(r.error.empty());
 }
 
+TEST(Service, ZeroExtentMapYieldsErrorResponseNotCrash) {
+  // AffineMap::place wraps modulo map.cols / map.rows: a zero extent
+  // must be rejected before any placement is computed.
+  Service svc({.num_workers = 1});
+  for (const RequestKind kind :
+       {RequestKind::kCostEval, RequestKind::kLegality}) {
+    Request cols = editdist_cost_request(6, 4);
+    cols.kind = kind;
+    cols.map.cols = 0;
+    const Response r1 = svc.call(cols);
+    EXPECT_EQ(r1.status, Status::kError) << to_string(kind);
+    EXPECT_NE(r1.error.find("map.cols"), std::string::npos);
+
+    Request rows = editdist_cost_request(6, 4);
+    rows.kind = kind;
+    rows.map.rows = 0;
+    EXPECT_EQ(svc.call(rows).status, Status::kError) << to_string(kind);
+  }
+  EXPECT_TRUE(svc.call(editdist_cost_request(6, 4)).ok());
+}
+
+TEST(Service, ConvergedRequiresEveryTierToHaveCompleted) {
+  const Response full;
+  EXPECT_TRUE(converged(full));
+  Response cut = full;
+  cut.search.exhausted = false;
+  EXPECT_FALSE(converged(cut));
+  cut = full;
+  cut.strategy.completed = false;
+  EXPECT_FALSE(converged(cut));
+  cut = full;
+  cut.pipeline.completed = false;
+  EXPECT_FALSE(converged(cut));
+}
+
 TEST(Service, OracleExceptionSurfacesAsErrorResponse) {
   Service svc({.num_workers = 1});
   // Two computed tensors: search_affine's precondition fails.

@@ -4,8 +4,10 @@
 // The distributed tier's correctness rests on four codec-level facts
 // pinned here:
 //   * every message body round-trips bit-exactly (re-encoding a decode
-//     reproduces the original bytes — the encoding is canonical);
-//   * truncated frames throw WireError instead of reading past the end;
+//     reproduces the original bytes — the encoding is canonical), and
+//     the reply layout is pinned byte for byte;
+//   * truncated or bit-flipped frames throw WireError instead of
+//     reading past the end or crashing;
 //   * routing_key() covers the semantic fields and *excludes* the QoS
 //     fields, so a deadline change never migrates a key off its warm
 //     shard;
@@ -18,11 +20,14 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "serve/catalog.hpp"
@@ -66,31 +71,60 @@ std::vector<std::uint8_t> encoded(const WireRequest& req) {
   return w.take();
 }
 
-WireResponse sample_response() {
-  WireResponse resp;
-  resp.status = static_cast<std::uint8_t>(Status::kOk);
-  resp.kind = static_cast<std::uint8_t>(RequestKind::kTune);
-  resp.makespan_cycles = 42;
-  resp.makespan_ps = 8400.0;
-  resp.compute_fj = 1.5;
-  resp.onchip_fj = 2.5;
-  resp.dram_fj = 3.5;
-  resp.messages = 7;
-  resp.bit_hops = 224;
-  resp.total_ops = 30.0;
-  resp.found = true;
-  resp.best_map = fm::AffineMap{.ti = 1, .tj = 1, .xi = 1, .cols = 6};
-  resp.best_makespan_cycles = 42;
-  resp.best_merit = 1.25e6;
-  resp.enumerated = 1000;
-  resp.legal = 12;
-  resp.workers_used = 4;
-  resp.lint.push_back(WireDiagnostic{"MAP001", 1, "H", 3, 7, "msg", "hint"});
+analyze::Diagnostic diag(std::string rule_id, analyze::Severity severity,
+                         std::string op, std::int32_t pe, std::int64_t cycle,
+                         std::string message, std::string hint) {
+  analyze::Diagnostic d;
+  d.rule_id = std::move(rule_id);
+  d.severity = severity;
+  d.location.op = std::move(op);
+  d.location.pe = pe;
+  d.location.cycle = cycle;
+  d.message = std::move(message);
+  d.hint = std::move(hint);
+  return d;
+}
+
+Response sample_response() {
+  Response resp;
+  resp.status = Status::kOk;
+  resp.kind = RequestKind::kTune;
+  resp.cost.makespan_cycles = 42;
+  resp.cost.makespan = Time::picoseconds(8400.0);
+  resp.cost.compute_energy = Energy::femtojoules(1.5);
+  resp.cost.onchip_movement_energy = Energy::femtojoules(2.5);
+  resp.cost.dram_energy = Energy::femtojoules(3.5);
+  resp.cost.messages = 7;
+  resp.cost.bit_hops = 224;
+  resp.cost.total_ops = 30.0;
+  resp.search.found = true;
+  resp.search.best.map = fm::AffineMap{.ti = 1, .tj = 1, .xi = 1, .cols = 6};
+  resp.search.best.cost = resp.cost;
+  resp.search.best.merit = 1.25e6;
+  resp.search.enumerated = 1000;
+  resp.search.legal = 12;
+  resp.search.workers_used = 4;
+  resp.lint.push_back(
+      diag("MAP001", analyze::Severity::kWarning, "H", 3, 7, "msg", "hint"));
   resp.exec_checked = true;
-  resp.latency_ns = 123456;
-  resp.shard = 2;
-  resp.stolen = true;
+  resp.latency = std::chrono::nanoseconds(123456);
   return resp;
+}
+
+std::vector<std::uint8_t> encoded(const Response& resp) {
+  Writer w;
+  encode(w, resp);
+  return w.take();
+}
+
+std::string to_hex(const std::vector<std::uint8_t>& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const std::uint8_t b : bytes) {
+    out += kDigits[b >> 4];
+    out += kDigits[b & 0xf];
+  }
+  return out;
 }
 
 TEST(WireCodec, PrimitivesRoundTrip) {
@@ -144,24 +178,199 @@ TEST(WireCodec, RequestEncodingIsCanonical) {
 }
 
 TEST(WireCodec, ResponseEncodingIsCanonical) {
-  const WireResponse resp = sample_response();
-  Writer w;
-  encode(w, resp);
-  const std::vector<std::uint8_t> bytes = w.data();
+  const std::vector<std::uint8_t> bytes = encoded(sample_response());
 
   Reader r(bytes);
-  const WireResponse back = decode_response(r);
+  const Response back = decode_response(r);
   EXPECT_NO_THROW(r.expect_end());
-  EXPECT_EQ(back.status, resp.status);
-  EXPECT_EQ(back.makespan_cycles, resp.makespan_cycles);
-  EXPECT_EQ(back.best_merit, resp.best_merit);
+  EXPECT_EQ(back.status, Status::kOk);
+  EXPECT_EQ(back.cost.makespan_cycles, 42);
+  EXPECT_EQ(back.search.best.merit, 1.25e6);
   ASSERT_EQ(back.lint.size(), 1u);
   EXPECT_EQ(back.lint[0].rule_id, "MAP001");
-  EXPECT_EQ(back.lint[0].pe, 3);
+  EXPECT_EQ(back.lint[0].location.pe, 3);
 
-  Writer w2;
-  encode(w2, back);
-  EXPECT_EQ(w2.data(), bytes);
+  EXPECT_EQ(encoded(back), bytes);
+}
+
+TEST(WireCodec, ResponseLayoutIsPinned) {
+  // The reply bytes of sample_response() as CacheSnapshot version 1
+  // encoded them, minus the 6-byte router delivery tail (u32 shard,
+  // stolen, coalesced) that replies no longer carry.  Any change here
+  // is a wire-format change: bump CacheSnapshot::kVersion with it.
+  const std::string kGoldenHex =
+      "000200002a00000000000000000000000068c040000000000000f83f00000000"
+      "0000044000000000000000000000000000000c400700000000000000e0000000"
+      "000000000000000000003e400100000000000000000000000000000000000000"
+      "000000000000000000000000000000000000000000ffffffffffffffff000000"
+      "0000000000ffffffffffffffff00000000010100000000000000010000000000"
+      "0000000000000000000000000000000000000100000000000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "0000000000000000000000000000000000000600000000000000010000000000"
+      "00002a0000000000000000000000d01233410000000000000000e80300000000"
+      "0000000000000000000000000000000000000c00000000000000010000000000"
+      "0000000400000001000000060000004d41503030310101000000480300000000"
+      "0000000700000000000000030000006d73670400000068696e74010000000000"
+      "00000040e20100000000000000000000000000";
+  EXPECT_EQ(to_hex(encoded(sample_response())), kGoldenHex);
+}
+
+TEST(WireCodec, ResponseRoundTripKeepsEveryWireField) {
+  // Every carried field set to a non-default value, so a field the
+  // decoder dropped or swapped cannot hide behind a default.
+  const analyze::Diagnostic fm_diag = diag(
+      "FM001", analyze::Severity::kError, "H(1,2)", 5, -9, "late", "shift t0");
+  const analyze::Diagnostic exec_diag =
+      diag("EXEC002", analyze::Severity::kInfo, "x[3]", -1, 11, "m", "");
+  Response in;
+  in.status = Status::kRejected;
+  in.kind = RequestKind::kLegality;
+  in.cache_hit = true;
+  in.deadline_cut = true;
+  in.cost.makespan_cycles = 77;
+  in.cost.makespan = Time::picoseconds(15400.5);
+  in.cost.compute_energy = Energy::femtojoules(1.25);
+  in.cost.onchip_movement_energy = Energy::femtojoules(2.25);
+  in.cost.local_access_energy = Energy::femtojoules(3.25);
+  in.cost.dram_energy = Energy::femtojoules(4.25);
+  in.cost.messages = 9;
+  in.cost.bit_hops = 288;
+  in.cost.total_ops = 64.0;
+  in.legality.ok = false;
+  in.legality.causality_violations = 1;
+  in.legality.exclusivity_violations = 2;
+  in.legality.storage_violations = 3;
+  in.legality.bandwidth_violations = 4;
+  in.legality.peak_live_values = 17;
+  in.legality.peak_live_pe = 6;
+  in.legality.peak_link_bits_per_cycle = 96.5;
+  in.legality.peak_link = 13;
+  in.legality.diagnostics = {fm_diag, exec_diag};
+  in.search.found = true;
+  in.search.best.map = fm::AffineMap{.ti = 2, .tj = 1, .tk = 3, .t0 = -4,
+                                     .xi = 1, .xj = -1, .xk = 2, .x0 = 5,
+                                     .yi = 1, .yj = 2, .yk = -3, .y0 = 1,
+                                     .cols = 8, .rows = 3};
+  in.search.best.cost = in.cost;
+  in.search.best.cost.makespan_cycles = 78;
+  in.search.best.merit = 2.5e7;
+  in.search.best.slot = 31;
+  in.search.enumerated = 500;
+  in.search.quick_rejected = 300;
+  in.search.verify_rejected = 150;
+  in.search.legal = 50;
+  in.search.exhausted = false;
+  in.search.next_offset = 440;
+  in.search.workers_used = 3;
+  in.lint = {exec_diag};
+  in.exec_checked = true;
+  in.exec = {fm_diag};
+  in.error = "busy";
+  in.latency = std::chrono::nanoseconds(654321);
+  in.retry_after = std::chrono::nanoseconds(1000000);
+
+  const std::vector<std::uint8_t> bytes = encoded(in);
+  Reader r(bytes);
+  const Response out = decode_response(r);
+  EXPECT_NO_THROW(r.expect_end());
+
+  const auto expect_same_cost = [](const fm::CostReport& a,
+                                   const fm::CostReport& b) {
+    EXPECT_EQ(a.makespan_cycles, b.makespan_cycles);
+    EXPECT_EQ(a.makespan.picoseconds(), b.makespan.picoseconds());
+    EXPECT_EQ(a.compute_energy.femtojoules(), b.compute_energy.femtojoules());
+    EXPECT_EQ(a.onchip_movement_energy.femtojoules(),
+              b.onchip_movement_energy.femtojoules());
+    EXPECT_EQ(a.local_access_energy.femtojoules(),
+              b.local_access_energy.femtojoules());
+    EXPECT_EQ(a.dram_energy.femtojoules(), b.dram_energy.femtojoules());
+    EXPECT_EQ(a.messages, b.messages);
+    EXPECT_EQ(a.bit_hops, b.bit_hops);
+    EXPECT_EQ(a.total_ops, b.total_ops);
+  };
+  const auto expect_same_diags =
+      [](const std::vector<analyze::Diagnostic>& a,
+         const std::vector<analyze::Diagnostic>& b) {
+        ASSERT_EQ(a.size(), b.size());
+        for (std::size_t i = 0; i < a.size(); ++i) {
+          EXPECT_EQ(a[i].rule_id, b[i].rule_id);
+          EXPECT_EQ(a[i].severity, b[i].severity);
+          EXPECT_EQ(a[i].location.op, b[i].location.op);
+          EXPECT_EQ(a[i].location.pe, b[i].location.pe);
+          EXPECT_EQ(a[i].location.cycle, b[i].location.cycle);
+          EXPECT_EQ(a[i].message, b[i].message);
+          EXPECT_EQ(a[i].hint, b[i].hint);
+        }
+      };
+
+  EXPECT_EQ(out.status, in.status);
+  EXPECT_EQ(out.kind, in.kind);
+  EXPECT_EQ(out.cache_hit, in.cache_hit);
+  EXPECT_EQ(out.deadline_cut, in.deadline_cut);
+  expect_same_cost(out.cost, in.cost);
+
+  EXPECT_EQ(out.legality.ok, in.legality.ok);
+  EXPECT_EQ(out.legality.causality_violations, 1u);
+  EXPECT_EQ(out.legality.exclusivity_violations, 2u);
+  EXPECT_EQ(out.legality.storage_violations, 3u);
+  EXPECT_EQ(out.legality.bandwidth_violations, 4u);
+  EXPECT_EQ(out.legality.peak_live_values, 17);
+  EXPECT_EQ(out.legality.peak_live_pe, 6);
+  EXPECT_EQ(out.legality.peak_link_bits_per_cycle, 96.5);
+  EXPECT_EQ(out.legality.peak_link, 13);
+  expect_same_diags(out.legality.diagnostics, in.legality.diagnostics);
+
+  EXPECT_EQ(out.search.found, in.search.found);
+  const fm::AffineMap& m = out.search.best.map;
+  const fm::AffineMap& e = in.search.best.map;
+  EXPECT_EQ((std::vector<std::int64_t>{m.ti, m.tj, m.tk, m.t0, m.xi, m.xj,
+                                       m.xk, m.x0, m.yi, m.yj, m.yk, m.y0,
+                                       m.cols, m.rows}),
+            (std::vector<std::int64_t>{e.ti, e.tj, e.tk, e.t0, e.xi, e.xj,
+                                       e.xk, e.x0, e.yi, e.yj, e.yk, e.y0,
+                                       e.cols, e.rows}));
+  // The best candidate's cost is rebuilt from `cost` plus its own
+  // makespan, the only part of it that crosses separately.
+  expect_same_cost(out.search.best.cost, in.search.best.cost);
+  EXPECT_EQ(out.search.best.merit, in.search.best.merit);
+  EXPECT_EQ(out.search.best.slot, in.search.best.slot);
+  EXPECT_EQ(out.search.enumerated, in.search.enumerated);
+  EXPECT_EQ(out.search.quick_rejected, in.search.quick_rejected);
+  EXPECT_EQ(out.search.verify_rejected, in.search.verify_rejected);
+  EXPECT_EQ(out.search.legal, in.search.legal);
+  EXPECT_EQ(out.search.exhausted, in.search.exhausted);
+  EXPECT_EQ(out.search.next_offset, in.search.next_offset);
+  EXPECT_EQ(out.search.workers_used, in.search.workers_used);
+
+  expect_same_diags(out.lint, in.lint);
+  EXPECT_EQ(out.exec_checked, in.exec_checked);
+  expect_same_diags(out.exec, in.exec);
+  EXPECT_EQ(out.error, in.error);
+  EXPECT_EQ(out.latency, in.latency);
+  EXPECT_EQ(out.retry_after, in.retry_after);
+}
+
+TEST(WireCodec, ResponseDecodeRejectsOutOfRangeEnums) {
+  const std::vector<std::uint8_t> good = encoded(sample_response());
+  const auto decode = [](const std::vector<std::uint8_t>& bytes) {
+    Reader r(bytes);
+    return decode_response(r);
+  };
+  std::vector<std::uint8_t> bad = good;
+  bad[0] = 3;  // status
+  EXPECT_THROW((void)decode(bad), WireError);
+  bad = good;
+  bad[1] = static_cast<std::uint8_t>(RequestKind::kPipelineTune) + 1;
+  EXPECT_THROW((void)decode(bad), WireError);
+
+  // The lint diagnostic's severity byte sits right after its rule id.
+  const std::string rule = "MAP001";
+  const auto at = std::search(good.begin(), good.end(), rule.begin(),
+                              rule.end());
+  ASSERT_NE(at, good.end());
+  bad = good;
+  bad[static_cast<std::size_t>(at - good.begin()) + rule.size()] = 3;
+  EXPECT_THROW((void)decode(bad), WireError);
 }
 
 TEST(WireCodec, MetricsEncodingIsCanonical) {
@@ -243,19 +452,17 @@ TEST(RoutingKey, CoversSemanticFields) {
 }
 
 TEST(SemanticBytes, IgnoresDeliveryMetadataOnly) {
-  const WireResponse a = sample_response();
-  WireResponse b = a;
-  // Delivery metadata: everything about *how* the answer arrived.
+  const Response a = sample_response();
+  Response b = a;
+  // How the answer was produced, not what it is.  (Shard, stolen and
+  // coalesced live on Router's RoutedReply, outside the Response.)
   b.cache_hit = !a.cache_hit;
-  b.latency_ns = a.latency_ns + 999;
-  b.workers_used = a.workers_used + 3;
-  b.shard = a.shard + 1;
-  b.stolen = !a.stolen;
-  b.coalesced = !a.coalesced;
+  b.latency = a.latency + std::chrono::nanoseconds(999);
+  b.search.workers_used = a.search.workers_used + 3;
   EXPECT_EQ(semantic_bytes(a), semantic_bytes(b));
 
-  WireResponse c = a;
-  c.makespan_cycles += 1;
+  Response c = a;
+  c.cost.makespan_cycles += 1;
   EXPECT_NE(semantic_bytes(a), semantic_bytes(c));
 }
 
@@ -273,6 +480,80 @@ TEST(Snapshot, RoundTripsAndChecksVersion) {
   std::vector<std::uint8_t> skewed = bytes;
   skewed[0] = 0xfe;  // version byte
   EXPECT_THROW((void)decode_snapshot(skewed), WireError);
+  // Version 1 snapshots carried replies with the router's delivery tail;
+  // they are rejected rather than misparsed.
+  skewed[0] = 1;
+  EXPECT_THROW((void)decode_snapshot(skewed), WireError);
+}
+
+// ---------------------------------------------------------------------
+// Corrupt input: every decoder either returns or throws WireError.
+// ---------------------------------------------------------------------
+
+/// Decodes every proper prefix of `bytes` and every single-bit flip of
+/// it.  Any exception other than WireError fails the test; a crash or a
+/// sanitizer report fails the run.
+template <typename Decode>
+void sweep_corruptions(const std::vector<std::uint8_t>& bytes,
+                       const char* what, Decode decode) {
+  const auto survives = [&](const std::vector<std::uint8_t>& input,
+                            const std::string& how) {
+    try {
+      decode(input);
+    } catch (const WireError&) {
+      // Clean rejection.
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << what << " " << how << ": non-WireError exception "
+                    << e.what();
+    }
+  };
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    survives(std::vector<std::uint8_t>(bytes.begin(), bytes.begin() + len),
+             "truncated to " + std::to_string(len));
+  }
+  std::vector<std::uint8_t> flipped = bytes;
+  for (std::size_t bit = 0; bit < bytes.size() * 8; ++bit) {
+    flipped[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    survives(flipped, "bit " + std::to_string(bit) + " flipped");
+    flipped[bit / 8] = bytes[bit / 8];
+  }
+}
+
+void decode_whole_request(const std::vector<std::uint8_t>& bytes) {
+  Reader r(bytes);
+  (void)decode_request(r);
+  r.expect_end();
+}
+
+void decode_whole_response(const std::vector<std::uint8_t>& bytes) {
+  Reader r(bytes);
+  (void)decode_response(r);
+  r.expect_end();
+}
+
+TEST(CorruptInput, RequestDecoderReturnsOrThrowsWireError) {
+  sweep_corruptions(encoded(sample_request()), "request",
+                    decode_whole_request);
+}
+
+TEST(CorruptInput, ResponseDecoderReturnsOrThrowsWireError) {
+  sweep_corruptions(encoded(sample_response()), "response",
+                    decode_whole_response);
+}
+
+TEST(CorruptInput, SnapshotDecoderReturnsOrThrowsWireError) {
+  CacheSnapshot snap;
+  snap.entries.push_back(
+      SnapshotEntry{encoded(sample_request()), encoded(sample_response())});
+  // Decode the container and then its entries, as Worker::restore does.
+  sweep_corruptions(encode(snap), "snapshot",
+                    [](const std::vector<std::uint8_t>& bytes) {
+                      for (const SnapshotEntry& e :
+                           decode_snapshot(bytes).entries) {
+                        decode_whole_request(e.request);
+                        decode_whole_response(e.response);
+                      }
+                    });
 }
 
 // ---------------------------------------------------------------------
