@@ -5,8 +5,9 @@
 #   2. analyze — the static-analysis subsystem (race detector, linter,
 #      execution checker; ctest -L analyze) plus harmony-lint CLI smoke
 #      runs, including --check-exec on one affine and one TableMap
-#      fixture and one --pipeline chain (tune + per-stage ExecChecker
-#      certification against producer-substituted input homes);
+#      fixture, one --pipeline chain (tune + per-stage ExecChecker
+#      certification against producer-substituted input homes) and one
+#      spec family only the serve::SpecCatalog grammar knows (matmul);
 #   3. ASan/UBSan build running the serve + analyze + support tests (the
 #      concurrent subsystem and the shadow-memory detector are where
 #      lifetime bugs would live; support_test exercises the Rng
@@ -79,7 +80,11 @@ run_analyze() {
   { ./build/examples/harmony-lint --pipeline=scanchain:16 --machine=4x1 \
       || [ "$?" -eq 1 ]; } &&
   { ./build/examples/harmony-lint --pipeline=irregular:24,3,7 \
-      --machine=4x1 --tuner=greedy || [ "$?" -eq 1 ]; }
+      --machine=4x1 --tuner=greedy || [ "$?" -eq 1 ]; } &&
+  # A family only the spec catalog knows: --spec goes through
+  # serve::SpecCatalog.  Exit 0 or 1 passes.
+  { ./build/examples/harmony-lint --spec=matmul:4 --machine=2x2 \
+      --map=serial || [ "$?" -eq 1 ]; }
 }
 
 run_asan() {

@@ -223,6 +223,12 @@ StageRun run_stage(const Pipeline& pipe, const MachineConfig& machine,
     return out;
   }
   for (std::size_t i = 0; i < want_cands; ++i) {
+    // Polled between restarts only: a poll after the last one would
+    // mark a finished stage as cut.
+    if (i > 0 && opts.cancel && opts.cancel()) {
+      out.complete = false;
+      break;
+    }
     StrategyOptions sto = opts.strategy_opts;
     sto.fom = opts.fom;
     sto.cancel = opts.cancel;
@@ -238,10 +244,6 @@ StageRun run_stage(const Pipeline& pipe, const MachineConfig& machine,
                                          r.merit, out.strategies.size()});
     }
     out.strategies.push_back(std::move(r));
-    if (opts.cancel && opts.cancel()) {
-      out.complete = false;
-      break;
-    }
   }
   std::stable_sort(out.cands.begin(), out.cands.end(),
                    [](const StageCandidate& a, const StageCandidate& b) {
@@ -261,7 +263,10 @@ PipelineResult tune_impl(const Pipeline& pipe, const MachineConfig& machine,
   for (std::size_t s = 0; s < pipe.size(); ++s) {
     StageResult& sr = out.stages[s];
     sr.name = pipe.stage(s).name;
-    if (cancelled()) {
+    // Polled between stages only: the stage searches poll on their own,
+    // so a cancel that fires before stage 0 still gets its searcher's
+    // cut answer (an anneal/beam seed, an empty exhaustive frontier).
+    if (s > 0 && cancelled()) {
       out.completed = false;
       break;
     }
@@ -406,6 +411,21 @@ Mapping stage_input_proto(const Pipeline& pipe, std::size_t s,
                      nullptr);
 }
 
+Mapping stage_mapping(const Pipeline& pipe, std::size_t s,
+                      StrategyKind strategy, const PipelineResult& result) {
+  HARMONY_REQUIRE(s < result.stages.size() && result.stages[s].found,
+                  "stage_mapping: stage has no committed mapping");
+  const StageResult& sr = result.stages[s];
+  const FunctionSpec& spec = *pipe.stage(s).spec;
+  if (strategy != StrategyKind::kExhaustive) {
+    return to_mapping(spec, sr.table);
+  }
+  Mapping m = stage_input_proto(pipe, s, strategy, result);
+  m.set_computed(spec.computed_tensors().front(), sr.affine.place_fn(),
+                 sr.affine.time_fn());
+  return m;
+}
+
 std::vector<ExecutionResult> execute_pipeline(
     const Pipeline& pipe, const MachineConfig& machine, StrategyKind strategy,
     const PipelineResult& result,
@@ -434,15 +454,8 @@ std::vector<ExecutionResult> execute_pipeline(
         inputs.push_back(external_inputs[next_external++]);
       }
     }
-    const StageResult& sr = result.stages[s];
-    Mapping m;
-    if (strategy == StrategyKind::kExhaustive) {
-      m = stage_input_proto(pipe, s, strategy, result);
-      m.set_computed(target, sr.affine.place_fn(), sr.affine.time_fn());
-    } else {
-      m = to_mapping(spec, sr.table);
-    }
-    out.push_back(gm.run(spec, m, inputs));
+    out.push_back(
+        gm.run(spec, stage_mapping(pipe, s, strategy, result), inputs));
   }
   HARMONY_REQUIRE(next_external == external_inputs.size(),
                   "execute_pipeline: too many external inputs");

@@ -126,10 +126,11 @@ struct PipelineOptions {
   /// Candidates per stage the co-tuner probes consumers with; 1 makes
   /// tune_pipeline_paired degenerate to greedy.
   std::size_t pair_candidates = 4;
-  /// Pipeline-level cooperative cancellation: polled between stages and
-  /// passed into every stage search (deadline cut — same contract as
-  /// SearchOptions::cancel).  A cut pipeline returns best-so-far with
-  /// completed == false.
+  /// Pipeline-level cooperative cancellation: passed into every stage
+  /// search and polled between units of work — between stages, between
+  /// anneal/beam restarts and between co-tuner probes, never after the
+  /// last one (deadline cut — same contract as SearchOptions::cancel).
+  /// A cut pipeline returns best-so-far with completed == false.
   std::function<bool()> cancel;
   sched::Scheduler* scheduler = nullptr;
   unsigned num_workers = 0;
@@ -207,11 +208,19 @@ struct PipelineResult {
                                         StrategyKind strategy,
                                         const PipelineResult& result);
 
+/// The full Mapping of stage `s`'s committed winner: stage_input_proto
+/// plus the affine winner on the stage target, or to_mapping of the
+/// table winner (a TableMap carries its own per-value input homes, which
+/// the tuner seeded from those same resolved homes).  What the linter,
+/// the execution checker and the GridMachine replay.  Throws
+/// InvalidArgument when stage `s` has no committed mapping.
+[[nodiscard]] Mapping stage_mapping(const Pipeline& pipe, std::size_t s,
+                                    StrategyKind strategy,
+                                    const PipelineResult& result);
+
 /// Pipeline's executed value oracle: runs every committed stage of
 /// `result` on the GridMachine, in stage (= topological) order, on real
-/// values.  Stage s runs under stage_input_proto(pipe, s, ...) plus its
-/// committed winner (a TableMap winner carries its own per-value input
-/// homes, which the tuner seeded from those same homes).  Its input
+/// values.  Stage s runs under stage_mapping(pipe, s, ...).  Its input
 /// vectors are `external_inputs` for kExternal bindings — one vector per
 /// such binding, in (stage, input ordinal) order — and the producer's
 /// executed output for kProducer bindings.  Returns one ExecutionResult

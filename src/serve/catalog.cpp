@@ -1,5 +1,6 @@
 #include "serve/catalog.hpp"
 
+#include <charconv>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -23,12 +24,16 @@ std::vector<std::int64_t> parse_dims(const std::string& s, char sep,
     const std::string tok =
         s.substr(pos, next == std::string::npos ? std::string::npos
                                                 : next - pos);
-    if (tok.empty() || tok.find_first_not_of("0123456789") !=
-                           std::string::npos) {
+    std::int64_t v = 0;
+    const char* end = tok.data() + tok.size();
+    const auto [ptr, ec] = std::from_chars(tok.data(), end, v);
+    // Digits only (no sign), and no overflow.
+    if (tok.empty() || tok.front() == '-' || ec != std::errc{} ||
+        ptr != end) {
       throw WireError("SpecCatalog: bad dimension '" + tok + "' in '" +
                       name + "'");
     }
-    dims.push_back(std::stoll(tok));
+    dims.push_back(v);
     if (next == std::string::npos) break;
     pos = next + 1;
   }

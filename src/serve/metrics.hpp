@@ -99,8 +99,8 @@ struct MetricsSnapshot {
   /// request's flat evaluation tables and skipped fm::compile_spec.
   std::uint64_t compile_hits = 0;
   std::uint64_t compile_misses = 0;
-  /// Tune winners replayed through the execution checker
-  /// (ServiceConfig::check_exec), and how many of those replays found
+  /// Tune winners replayed through the execution checker (every tune,
+  /// one replay per pipeline stage), and how many of those replays found
   /// an axiom violation.  A nonzero failure count means an oracle and
   /// the relational model disagree — a bug in one of them.
   std::uint64_t exec_checks = 0;

@@ -67,14 +67,16 @@ void mix_point(Fingerprint& fp, const fm::Point& p) {
   fp.mix(p.k);
 }
 
-/// Deterministic sample of `n` points: the same stride walk the
-/// autotuner's causality pre-check uses, plus the last point.
-std::vector<fm::Point> sample_points(const fm::IndexDomain& dom,
-                                     std::size_t n) {
+/// Dependence-edge sample size per computed tensor.
+constexpr std::int64_t kKeySamplePoints = 32;
+
+/// Deterministic sample of kKeySamplePoints points: the same stride walk
+/// the autotuner's causality pre-check uses, plus the last point.
+std::vector<fm::Point> sample_points(const fm::IndexDomain& dom) {
   std::vector<fm::Point> pts;
   const std::int64_t size = dom.size();
-  const std::int64_t stride = std::max<std::int64_t>(
-      1, size / static_cast<std::int64_t>(std::max<std::size_t>(1, n)));
+  const std::int64_t stride =
+      std::max<std::int64_t>(1, size / kKeySamplePoints);
   for (std::int64_t lin = 0; lin < size; lin += stride) {
     pts.push_back(dom.delinearize(lin));
   }
@@ -82,8 +84,7 @@ std::vector<fm::Point> sample_points(const fm::IndexDomain& dom,
   return pts;
 }
 
-void mix_spec(Fingerprint& fp, const fm::FunctionSpec& spec,
-              std::size_t samples) {
+void mix_spec(Fingerprint& fp, const fm::FunctionSpec& spec) {
   fp.mix(static_cast<std::uint64_t>(spec.num_tensors()));
   for (fm::TensorId t = 0; t < spec.num_tensors(); ++t) {
     fp.mix(spec.name(t));
@@ -98,7 +99,7 @@ void mix_spec(Fingerprint& fp, const fm::FunctionSpec& spec,
     if (spec.is_input(t)) continue;
     // Sampled dependence edges: the dep function is a black box, so the
     // relation itself is what gets fingerprinted.
-    for (const fm::Point& p : sample_points(dom, samples)) {
+    for (const fm::Point& p : sample_points(dom)) {
       mix_point(fp, p);
       const auto deps = spec.deps(t, p);
       fp.mix(static_cast<std::uint64_t>(deps.size()));
@@ -187,13 +188,12 @@ void mix_strategy(Fingerprint& fp, const fm::StrategyOptions& s) {
 /// Stage bindings are structural: producer edges by index, external
 /// homes by (kind, pe).  Callers must have screened out distributed
 /// externals (cacheable() does) — a closure has no canonical form.
-void mix_pipeline(Fingerprint& fp, const fm::Pipeline& pipe,
-                  std::size_t samples) {
+void mix_pipeline(Fingerprint& fp, const fm::Pipeline& pipe) {
   fp.mix(static_cast<std::uint64_t>(pipe.size()));
   for (std::size_t s = 0; s < pipe.size(); ++s) {
     const fm::PipelineStage& st = pipe.stage(s);
     fp.mix(st.name);
-    mix_spec(fp, *st.spec, samples);
+    mix_spec(fp, *st.spec);
     fp.mix(static_cast<std::uint64_t>(st.inputs.size()));
     for (const fm::StageInput& b : st.inputs) {
       fp.mix(static_cast<std::uint64_t>(b.kind));
@@ -226,13 +226,13 @@ bool cacheable(const Request& req) {
   return req.spec != nullptr;
 }
 
-CacheKey make_cache_key(const Request& req, std::size_t sample_points_n) {
+CacheKey make_cache_key(const Request& req) {
   Fingerprint fp;
   fp.mix(kKeySchema);
   fp.mix(static_cast<std::uint64_t>(req.kind));
   if (req.kind == RequestKind::kPipelineTune) {
     HARMONY_REQUIRE(req.pipeline != nullptr, "make_cache_key: null pipeline");
-    mix_pipeline(fp, *req.pipeline, sample_points_n);
+    mix_pipeline(fp, *req.pipeline);
     mix_machine(fp, req.machine);
     fp.mix(static_cast<std::uint64_t>(req.fom));
     fp.mix(req.pipeline_paired);
@@ -246,7 +246,7 @@ CacheKey make_cache_key(const Request& req, std::size_t sample_points_n) {
     return fp.key();
   }
   HARMONY_REQUIRE(req.spec != nullptr, "make_cache_key: null spec");
-  mix_spec(fp, *req.spec, sample_points_n);
+  mix_spec(fp, *req.spec);
   mix_machine(fp, req.machine);
   fp.mix(static_cast<std::uint64_t>(req.fom));
   fp.mix(static_cast<std::uint64_t>(req.inputs.size()));
@@ -277,14 +277,14 @@ CacheKey make_cache_key(const Request& req, std::size_t sample_points_n) {
   return fp.key();
 }
 
-CacheKey make_compile_key(const Request& req, std::size_t sample_points_n) {
+CacheKey make_compile_key(const Request& req) {
   HARMONY_REQUIRE(req.spec != nullptr, "make_compile_key: null spec");
   Fingerprint fp;
   fp.mix(kKeySchema);
   // Domain-separation tag: result keys mix RequestKind (0..2) here, so a
   // compile key can never collide with any result key.
   fp.mix(std::uint64_t{0xc04111edULL});
-  mix_spec(fp, *req.spec, sample_points_n);
+  mix_spec(fp, *req.spec);
   mix_machine(fp, req.machine);
   fp.mix(static_cast<std::uint64_t>(req.inputs.size()));
   for (const InputPlacement& in : req.inputs) {
@@ -296,15 +296,14 @@ CacheKey make_compile_key(const Request& req, std::size_t sample_points_n) {
 }
 
 CacheKey make_stage_compile_key(const Request& req, std::size_t stage,
-                                std::uint64_t home_fingerprint,
-                                std::size_t sample_points_n) {
+                                std::uint64_t home_fingerprint) {
   HARMONY_REQUIRE(req.pipeline != nullptr && stage < req.pipeline->size(),
                   "make_stage_compile_key: bad pipeline stage");
   Fingerprint fp;
   fp.mix(kKeySchema);
   // Domain-separation tag, distinct from make_compile_key's.
   fp.mix(std::uint64_t{0x51a6e5edULL});
-  mix_spec(fp, *req.pipeline->stage(stage).spec, sample_points_n);
+  mix_spec(fp, *req.pipeline->stage(stage).spec);
   mix_machine(fp, req.machine);
   // The resolved input homes, compressed by the tuner: externals
   // structurally, producer winners by their committed coefficients /

@@ -12,9 +12,8 @@
 // dependence relation — a black-box std::function — is hashed by
 // enumerating deps at a deterministic sample of domain points (the same
 // trick the autotuner's causality pre-check uses).  Two specs that agree
-// on every sampled edge but differ elsewhere would collide; callers that
-// synthesize adversarial spec families can raise `sample_points` up to
-// the domain size for an exact edge hash.
+// on every sampled edge but differ elsewhere would collide (32 sampled
+// points per computed tensor).
 #pragma once
 
 #include <chrono>
@@ -39,7 +38,7 @@ namespace harmony::serve {
 enum class RequestKind : std::uint8_t {
   kCostEval,      ///< price one (spec, AffineMap) pair: fm::evaluate_cost
   kLegality,      ///< check one (spec, AffineMap) pair: fm::verify
-  kTune,          ///< autotune the mapping: fm::search_affine
+  kTune,          ///< autotune the mapping: a one-stage fm::Pipeline
   kPipelineTune,  ///< tune a multi-kernel DAG: fm::tune_pipeline_*
 };
 
@@ -77,16 +76,17 @@ struct Request {
   fm::AffineMap map;
   /// kLegality: verifier options.
   fm::VerifyOptions verify;
-  /// kTune: search options.  `search.cancel` is chained with the
-  /// service's deadline check; it, `search.resume_from`, and the
+  /// kTune: search options.  `search.cancel` always reaches the search,
+  /// chained with the service's deadline check when the request has a
+  /// deadline; it, `search.resume_from`, and the
   /// parallel-backend knobs (`search.scheduler` / `num_workers` /
   /// `grain` are overridden by the service anyway) are excluded from
   /// the cache key.
   fm::SearchOptions search;
   /// kTune: which searcher answers the tune.  kExhaustive (the default)
-  /// runs fm::search_affine with `search`; kAnneal / kBeam run
-  /// fm::search_table over the non-affine TableMap space with
-  /// `strategy_opts`.  Part of the cache key.
+  /// enumerates the affine family with `search`; kAnneal / kBeam search
+  /// the non-affine TableMap space with `strategy_opts`
+  /// (fm::PipelineOptions::strategy).  Part of the cache key.
   fm::StrategyKind strategy = fm::StrategyKind::kExhaustive;
   /// kTune with strategy != kExhaustive: stochastic-search budget and
   /// seeds.  Result-shaping fields are cache-keyed; `cancel`,
@@ -112,10 +112,9 @@ struct Request {
   /// Excluded from the cache key — the parallel merge is deterministic,
   /// so lane count never changes the answer.
   unsigned tune_workers = 0;
-  /// Per-request completion deadline; zero means "use the service
-  /// default" (which may itself be none).  A tune that reaches its
-  /// deadline answers with the autotuner's best-so-far frontier
-  /// (Response::deadline_cut) instead of failing.
+  /// Per-request completion deadline; zero means none.  A tune that
+  /// reaches its deadline answers with the autotuner's best-so-far
+  /// frontier (Response::deadline_cut) instead of failing.
   std::chrono::nanoseconds deadline{0};
 };
 
@@ -146,8 +145,8 @@ struct Response {
   /// kTune: mapping-linter diagnostics (analyze::lint_mapping) for the
   /// best mapping found — warnings a merit number alone would hide.
   std::vector<analyze::Diagnostic> lint;
-  /// kTune with ServiceConfig::check_exec: the winner's execution
-  /// witness was replayed through analyze::ExecChecker.  `exec` holds
+  /// Tunes: the winner's execution witness (every stage winner's, for a
+  /// pipeline) was replayed through analyze::ExecChecker.  `exec` holds
   /// any EXEC axiom violations (empty = the independent relational
   /// model agrees the winner is legal).
   bool exec_checked = false;
@@ -198,16 +197,14 @@ struct CacheKeyHash {
 /// AffineMap coefficients, verify options, or search-space knobs).
 /// Stable across processes and runs — no pointer values, no iteration
 /// order dependence.
-[[nodiscard]] CacheKey make_cache_key(const Request& req,
-                                      std::size_t sample_points = 32);
+[[nodiscard]] CacheKey make_cache_key(const Request& req);
 
 /// Key over only what fm::compile_spec consumes: spec structure, sampled
 /// dependence edges, machine config, and input placements.  Deliberately
 /// coarser than make_cache_key — two tunes that differ in FoM or search
 /// knobs share one CompiledSpec, so the service's compile cache can hand
 /// both the same flat tables.  Tagged so it can never alias a result key.
-[[nodiscard]] CacheKey make_compile_key(const Request& req,
-                                        std::size_t sample_points = 32);
+[[nodiscard]] CacheKey make_compile_key(const Request& req);
 
 /// Compile key for one pipeline stage: stage spec structure, machine,
 /// and the resolved-input-home fingerprint the pipeline tuner reports
@@ -217,7 +214,6 @@ struct CacheKeyHash {
 /// so it can never alias a result key or a single-spec compile key.
 [[nodiscard]] CacheKey make_stage_compile_key(const Request& req,
                                               std::size_t stage,
-                                              std::uint64_t home_fingerprint,
-                                              std::size_t sample_points = 32);
+                                              std::uint64_t home_fingerprint);
 
 }  // namespace harmony::serve

@@ -14,8 +14,25 @@ namespace harmony::serve {
 
 namespace {
 
+/// Home of the request's idx-th input tensor (spec->input_tensors()
+/// order); missing trailing entries default to DRAM.
+fm::InputHome input_home(const Request& req, std::size_t idx) {
+  return (idx < req.inputs.size() ? req.inputs[idx] : InputPlacement::dram())
+      .to_home();
+}
+
+/// The declared input homes as a Mapping (computed assignment unset).
+fm::Mapping input_proto(const Request& req) {
+  fm::Mapping m;
+  const auto inputs = req.spec->input_tensors();
+  for (std::size_t idx = 0; idx < inputs.size(); ++idx) {
+    m.set_input(inputs[idx], input_home(req, idx));
+  }
+  return m;
+}
+
 /// Builds the full Mapping a request describes: the AffineMap on the
-/// single computed tensor plus the declared input homes (DRAM default).
+/// single computed tensor plus the declared input homes.
 fm::Mapping materialize_mapping(const Request& req,
                                 const fm::AffineMap& map) {
   const auto computed = req.spec->computed_tensors();
@@ -25,26 +42,8 @@ fm::Mapping materialize_mapping(const Request& req,
   // from a hostile wire frame) would divide by zero.
   HARMONY_REQUIRE(map.cols > 0 && map.rows > 0,
                   "serve: map.cols and map.rows must be positive");
-  fm::Mapping m;
+  fm::Mapping m = input_proto(req);
   m.set_computed(computed[0], map.place_fn(), map.time_fn());
-  const auto inputs = req.spec->input_tensors();
-  for (std::size_t idx = 0; idx < inputs.size(); ++idx) {
-    const InputPlacement placement =
-        idx < req.inputs.size() ? req.inputs[idx] : InputPlacement::dram();
-    m.set_input(inputs[idx], placement.to_home());
-  }
-  return m;
-}
-
-/// Input-home prototype for the autotuner (computed assignment unused).
-fm::Mapping input_proto(const Request& req) {
-  fm::Mapping m;
-  const auto inputs = req.spec->input_tensors();
-  for (std::size_t idx = 0; idx < inputs.size(); ++idx) {
-    const InputPlacement placement =
-        idx < req.inputs.size() ? req.inputs[idx] : InputPlacement::dram();
-    m.set_input(inputs[idx], placement.to_home());
-  }
   return m;
 }
 
@@ -101,7 +100,7 @@ std::future<Response> Service::submit(Request req) {
   p->enqueued = now;
   p->use_cache = cacheable(p->req);
   if (p->use_cache) {
-    p->key = make_cache_key(p->req, cfg_.key_sample_points);
+    p->key = make_cache_key(p->req);
     // Fast path: answer memoized queries on the caller's thread, never
     // touching the admission queue.
     if (auto hit = cache_.get(p->key)) {
@@ -126,11 +125,9 @@ std::future<Response> Service::submit(Request req) {
     return fut;
   }
 
-  const std::chrono::nanoseconds budget =
-      p->req.deadline.count() > 0 ? p->req.deadline : cfg_.default_deadline;
-  if (budget.count() > 0) {
+  if (p->req.deadline.count() > 0) {
     p->has_deadline = true;
-    p->deadline = now + budget;
+    p->deadline = now + p->req.deadline;
   }
 
   // Hand the caller the *real* promise's future before enqueueing.
@@ -242,29 +239,6 @@ void Service::run_group(std::vector<std::unique_ptr<Pending>>& group) {
   }
 }
 
-template <typename Opts>
-void Service::apply_tune_plumbing(const Pending& p,
-                                  const std::function<bool()>& user,
-                                  Opts& opts) {
-  // Fork into the service's shared pool.  We are already inside the
-  // dispatcher's batch session, so searches fork inline rather than
-  // opening a nested run(); the per-request lane ask is clamped by the
-  // service-level cap.
-  opts.scheduler = &scheduler_;
-  const unsigned cap =
-      cfg_.max_tune_workers == 0 ? cfg_.num_workers : cfg_.max_tune_workers;
-  opts.num_workers =
-      p.req.tune_workers == 0 ? cap : std::min(p.req.tune_workers, cap);
-  if (p.has_deadline) {
-    // Stop early enough that delivering the response beats the
-    // deadline; chain the caller-supplied cancel hook.
-    const Clock::time_point cutoff = p.deadline - cfg_.deadline_margin;
-    opts.cancel = [cutoff, user] {
-      return Clock::now() >= cutoff || (user && user());
-    };
-  }
-}
-
 Response Service::execute(const Pending& p) {
   const Request& req = p.req;
   // Named after the oracle ("cost_eval" / "legality" / "tune"): the
@@ -284,51 +258,10 @@ Response Service::execute(const Pending& p) {
         r.legality = fm::verify(*req.spec, m, req.machine, req.verify);
         break;
       }
-      case RequestKind::kTune: {
-        if (req.strategy != fm::StrategyKind::kExhaustive) {
-          execute_strategy_tune(p, r);
-          break;
-        }
-        fm::SearchOptions opts = req.search;
-        opts.fom = req.fom;
-        // Reuse (or build) the flat evaluation tables for this
-        // (spec, machine, inputs) triple — the search then skips its
-        // own per-call compile.  Kept in a local too: the winner's
-        // execution witness is built from the same tables below.
-        const std::shared_ptr<const fm::CompiledSpec> compiled =
-            compiled_for(req);
-        opts.compiled = compiled;
-        apply_tune_plumbing(p, req.search.cancel, opts);
-        // The parallel backend polls cancel once per grain, so a
-        // deadline tune runs single-slot grains: the overshoot past the
-        // cutoff is bounded by the candidates already in flight (at most
-        // one per lane) instead of a whole auto-sized grain.
-        if (p.has_deadline && opts.grain == fm::kAutoGrain) opts.grain = 1;
-        // Steal-count delta around the search: approximate when tunes
-        // overlap in one batch (steals interleave), but cheap and a
-        // faithful saturation signal in aggregate.
-        const std::uint64_t steals_before = scheduler_.steal_count();
-        r.search =
-            fm::search_affine(*req.spec, req.machine, input_proto(req), opts);
-        metrics_.on_tune(r.search.workers_used,
-                         scheduler_.steal_count() - steals_before);
-        r.deadline_cut = p.has_deadline && !r.search.exhausted;
-        if (r.search.found) {
-          r.cost = r.search.best.cost;
-          // Lint the winner: a mapping can win the merit race and still
-          // carry smells (idle PEs, hot links) the caller should see.
-          const fm::Mapping best = materialize_mapping(req, r.search.best.map);
-          r.lint = analyze::lint_mapping(*req.spec, best, req.machine)
-                       .diagnostics;
-          check_winner_exec(
-              r, analyze::build_exec_witness(*compiled, r.search.best.map));
-        }
+      case RequestKind::kTune:
+      case RequestKind::kPipelineTune:
+        execute_tune(p, r);
         break;
-      }
-      case RequestKind::kPipelineTune: {
-        execute_pipeline_tune(p, r);
-        break;
-      }
     }
   } catch (const std::exception& e) {
     r = Response{};
@@ -339,106 +272,125 @@ Response Service::execute(const Pending& p) {
   return r;
 }
 
-void Service::execute_strategy_tune(const Pending& p, Response& r) {
+void Service::execute_tune(const Pending& p, Response& r) {
   const Request& req = p.req;
-  fm::StrategyOptions opts = req.strategy_opts;
-  opts.fom = req.fom;
-  // Same service-owned execution plumbing as the exhaustive path: the
-  // shared compile cache, the shared scheduler with the tune lane cap,
-  // and a deadline cancel chained over any caller-supplied hook.  The
-  // anneal/beam drivers poll cancel per epoch and hand back the best
-  // table found so far, so a deadline cut still answers with a legal
-  // mapping (Response::deadline_cut).
-  const std::shared_ptr<const fm::CompiledSpec> compiled = compiled_for(req);
-  opts.compiled = compiled;
-  apply_tune_plumbing(p, req.strategy_opts.cancel, opts);
-  const std::uint64_t steals_before = scheduler_.steal_count();
-  r.strategy = fm::search_table(*req.spec, req.machine, input_proto(req),
-                                req.strategy, opts);
-  metrics_.on_tune(r.strategy.workers_used,
-                   scheduler_.steal_count() - steals_before);
-  r.deadline_cut = p.has_deadline && !r.strategy.completed;
-  if (r.strategy.found) {
-    r.cost = r.strategy.cost;
-    const fm::Mapping best = fm::to_mapping(*req.spec, r.strategy.best);
-    r.lint =
-        analyze::lint_mapping(*req.spec, best, req.machine).diagnostics;
-    check_winner_exec(r,
-                      analyze::build_exec_witness(*compiled, r.strategy.best));
+  const bool single = req.kind == RequestKind::kTune;
+  // A single-spec tune is the one-stage pipeline over req.spec, its
+  // inputs bound to the request's homes (DRAM for missing trailing
+  // entries) — fm::PipelineOptions promises that reproduces a plain
+  // search bit for bit.
+  fm::Pipeline one;
+  if (single) {
+    fm::PipelineStage stage{"tune", req.spec, {}};
+    const std::size_t n_inputs = req.spec->input_tensors().size();
+    for (std::size_t idx = 0; idx < n_inputs; ++idx) {
+      stage.inputs.push_back(fm::StageInput::external(input_home(req, idx)));
+    }
+    one.add_stage(std::move(stage));
   }
-}
+  const fm::Pipeline& pipe = single ? one : *req.pipeline;
+  const bool exhaustive = req.strategy == fm::StrategyKind::kExhaustive;
 
-void Service::execute_pipeline_tune(const Pending& p, Response& r) {
-  const Request& req = p.req;
-  const fm::Pipeline& pipe = *req.pipeline;
   fm::PipelineOptions opts;
   opts.fom = req.fom;
   opts.strategy = req.strategy;
   opts.search = req.search;
   opts.strategy_opts = req.strategy_opts;
   opts.pair_candidates = req.pipeline_pair_candidates;
-  // Same execution plumbing as single-spec tunes: the shared scheduler
-  // with the tune lane cap, per-stage compiles through the coalescing
-  // compile cache, and a deadline cancel chained over any caller hook —
-  // the pipeline tuner polls it between stages, between probes, and
-  // inside every stage search, so a cut answers best-so-far.
-  const bool exhaustive = req.strategy == fm::StrategyKind::kExhaustive;
-  apply_tune_plumbing(
-      p, exhaustive ? req.search.cancel : req.strategy_opts.cancel, opts);
-  if (p.has_deadline && exhaustive && opts.search.grain == fm::kAutoGrain) {
-    opts.search.grain = 1;  // bound overshoot, as in the kTune path
+  // Fork into the service's shared pool.  We are already inside the
+  // dispatcher's batch session, so searches fork inline rather than
+  // opening a nested run(); the per-request lane ask is clamped by the
+  // service-level cap.
+  opts.scheduler = &scheduler_;
+  const unsigned cap =
+      cfg_.max_tune_workers == 0 ? cfg_.num_workers : cfg_.max_tune_workers;
+  opts.num_workers =
+      req.tune_workers == 0 ? cap : std::min(req.tune_workers, cap);
+  // The caller's hook always rides along; under a deadline it is
+  // chained with a cutoff early enough that delivering the response
+  // beats the deadline.  The anneal/beam drivers poll it per epoch and
+  // the exhaustive search per grain, so a cut still answers best-so-far
+  // (Response::deadline_cut).
+  const std::function<bool()>& user =
+      exhaustive ? req.search.cancel : req.strategy_opts.cancel;
+  opts.cancel = user;
+  if (p.has_deadline) {
+    const Clock::time_point cutoff = p.deadline - cfg_.deadline_margin;
+    opts.cancel = [cutoff, user] {
+      return Clock::now() >= cutoff || (user && user());
+    };
+    // The parallel backend polls cancel once per grain, so a deadline
+    // tune runs single-slot grains: the overshoot past the cutoff is
+    // bounded by the candidates already in flight (at most one per
+    // lane) instead of a whole auto-sized grain.
+    if (exhaustive && opts.search.grain == fm::kAutoGrain) {
+      opts.search.grain = 1;
+    }
   }
-  opts.compile = [this, &req](std::size_t stage, const fm::Mapping& proto,
-                              std::uint64_t home_fp) {
-    return compiled_for_stage(req, stage, proto, home_fp);
+  // Stage compiles go through the coalescing compile cache: a kTune
+  // under its (spec, machine, inputs) key, shared with tunes that differ
+  // only in FoM or search knobs; a pipeline stage under its resolved
+  // input homes.  The last compile of each stage is its committing
+  // run's (probes only ever target later stages), and certification
+  // below reuses it instead of looking it up again.
+  std::vector<std::shared_ptr<const fm::CompiledSpec>> compiled(pipe.size());
+  opts.compile = [&](std::size_t stage, const fm::Mapping& proto,
+                     std::uint64_t home_fp) {
+    compiled[stage] = single ? compiled_for(req)
+                             : compiled_for_stage(req, stage, proto, home_fp);
+    return compiled[stage];
   };
 
+  // Steal-count delta around the tune: approximate when tunes overlap
+  // in one batch (steals interleave), but cheap and a faithful
+  // saturation signal in aggregate.
   const std::uint64_t steals_before = scheduler_.steal_count();
-  r.pipeline = req.pipeline_paired
-                   ? fm::tune_pipeline_paired(pipe, req.machine, opts)
-                   : fm::tune_pipeline_greedy(pipe, req.machine, opts);
+  fm::PipelineResult res =
+      !single && req.pipeline_paired
+          ? fm::tune_pipeline_paired(pipe, req.machine, opts)
+          : fm::tune_pipeline_greedy(pipe, req.machine, opts);
   unsigned workers_used = 1;
-  for (const fm::StageResult& st : r.pipeline.stages) {
+  for (const fm::StageResult& st : res.stages) {
     workers_used = std::max(
         {workers_used, st.search.workers_used, st.strategy.workers_used});
   }
   metrics_.on_tune(workers_used, scheduler_.steal_count() - steals_before);
-  r.deadline_cut = p.has_deadline && !r.pipeline.completed;
-  if (!r.pipeline.found) return;
-  r.cost = r.pipeline.total;
+  r.deadline_cut = p.has_deadline && !res.completed;
+
   // Certify every committed stage winner with its *resolved* input
-  // homes — the producer-substituted prototype each stage actually
-  // compiled against — through the linter and the independent axiom
-  // checker.  A clean chain means every handoff the cost model priced
-  // is one the relational model agrees is legal.
-  for (std::size_t s = 0; s < pipe.size(); ++s) {
-    const fm::StageResult& st = r.pipeline.stages[s];
-    const fm::FunctionSpec& spec = *pipe.stage(s).spec;
-    const fm::Mapping proto =
-        fm::stage_input_proto(pipe, s, req.strategy, r.pipeline);
-    const std::shared_ptr<const fm::CompiledSpec> compiled =
-        compiled_for_stage(req, s, proto, st.home_fingerprint);
-    fm::Mapping full;
-    analyze::ExecWitness witness;
-    if (exhaustive) {
-      full = proto;
-      full.set_computed(spec.computed_tensors().front(), st.affine.place_fn(),
-                        st.affine.time_fn());
-      witness = analyze::build_exec_witness(*compiled, st.affine);
-    } else {
-      full = fm::to_mapping(spec, st.table);
-      witness = analyze::build_exec_witness(*compiled, st.table);
+  // homes through the linter (a mapping can win the merit race and
+  // still carry smells — idle PEs, hot links — the caller should see)
+  // and the independent axiom checker.  A clean chain means every
+  // handoff the cost model priced is one the relational model agrees
+  // is legal.
+  if (res.found) {
+    for (std::size_t s = 0; s < pipe.size(); ++s) {
+      const fm::StageResult& st = res.stages[s];
+      const auto lint = analyze::lint_mapping(
+          *pipe.stage(s).spec, fm::stage_mapping(pipe, s, req.strategy, res),
+          req.machine);
+      r.lint.insert(r.lint.end(), lint.diagnostics.begin(),
+                    lint.diagnostics.end());
+      check_winner_exec(
+          r, exhaustive ? analyze::build_exec_witness(*compiled[s], st.affine)
+                        : analyze::build_exec_witness(*compiled[s], st.table));
     }
-    const auto lint = analyze::lint_mapping(spec, full, req.machine);
-    r.lint.insert(r.lint.end(), lint.diagnostics.begin(),
-                  lint.diagnostics.end());
-    check_winner_exec(r, witness);
   }
+  if (!single) {
+    if (res.found) r.cost = res.total;
+    r.pipeline = std::move(res);
+    return;
+  }
+  // A plain tune reply: stage 0's searcher detail, r.pipeline left at
+  // its default.
+  fm::StageResult& st = res.stages.front();
+  if (st.found) r.cost = st.cost;
+  r.search = std::move(st.search);
+  r.strategy = std::move(st.strategy);
 }
 
 void Service::check_winner_exec(Response& r,
                                 const analyze::ExecWitness& witness) {
-  if (!cfg_.check_exec) return;
   // The independent relational model's verdict on the tune winner: a
   // nonzero EXEC count here means the searcher's legality gate and the
   // axiom checker disagree about this very mapping.
@@ -452,7 +404,7 @@ void Service::check_winner_exec(Response& r,
 
 void Service::warm(const Request& req, Response resp) {
   if (!cacheable(req)) return;
-  const CacheKey key = make_cache_key(req, cfg_.key_sample_points);
+  const CacheKey key = make_cache_key(req);
   resp.cache_hit = false;
   resp.latency = std::chrono::nanoseconds{0};
   cache_.put(key, std::make_shared<Response>(std::move(resp)));
@@ -466,12 +418,7 @@ void Service::precompile(const Request& req) {
 
 std::shared_ptr<const fm::CompiledSpec> Service::compiled_for(
     const Request& req) {
-  if (cfg_.compile_cache_capacity == 0) {
-    metrics_.on_compile(false);
-    return fm::compile_spec(*req.spec, req.machine, input_proto(req));
-  }
-  const CacheKey key = make_compile_key(req, cfg_.key_sample_points);
-  return compiled_cached(key, [&] {
+  return compiled_cached(make_compile_key(req), [&] {
     return fm::compile_spec(*req.spec, req.machine, input_proto(req));
   });
 }
@@ -480,7 +427,7 @@ std::shared_ptr<const fm::CompiledSpec> Service::compiled_for_stage(
     const Request& req, std::size_t stage, const fm::Mapping& proto,
     std::uint64_t home_fp) {
   const fm::FunctionSpec& spec = *req.pipeline->stage(stage).spec;
-  bool hashable = cfg_.compile_cache_capacity > 0;
+  bool hashable = true;
   for (const fm::StageInput& b : req.pipeline->stage(stage).inputs) {
     if (b.kind == fm::StageInput::Kind::kExternal &&
         b.home.kind == fm::InputHome::Kind::kDistributed) {
@@ -491,10 +438,9 @@ std::shared_ptr<const fm::CompiledSpec> Service::compiled_for_stage(
     metrics_.on_compile(false);
     return fm::compile_spec(spec, req.machine, proto);
   }
-  const CacheKey key =
-      make_stage_compile_key(req, stage, home_fp, cfg_.key_sample_points);
   return compiled_cached(
-      key, [&] { return fm::compile_spec(spec, req.machine, proto); });
+      make_stage_compile_key(req, stage, home_fp),
+      [&] { return fm::compile_spec(spec, req.machine, proto); });
 }
 
 std::shared_ptr<const fm::CompiledSpec> Service::compiled_cached(
@@ -548,7 +494,7 @@ std::shared_ptr<const fm::CompiledSpec> Service::compiled_cached(
       compile_lru_.push_front(key);
       compile_cache_.emplace(key,
                              CompiledEntry{compiled, compile_lru_.begin()});
-      while (compile_cache_.size() > cfg_.compile_cache_capacity) {
+      while (compile_cache_.size() > kCompileCacheCapacity) {
         compile_cache_.erase(compile_lru_.back());
         compile_lru_.pop_back();
       }

@@ -66,27 +66,11 @@ struct ServiceConfig {
   /// How long the dispatcher lingers for stragglers when a drained
   /// batch is not yet full.
   std::chrono::microseconds batch_linger{50};
-  /// Applied when Request::deadline is zero; zero here means no
-  /// deadline at all.
-  std::chrono::nanoseconds default_deadline{0};
   /// Backoff hint attached to kRejected responses.
   std::chrono::nanoseconds retry_after{std::chrono::milliseconds(1)};
   /// A deadline-cut tune stops searching this far *before* the deadline
   /// so the response is delivered strictly before it.
   std::chrono::nanoseconds deadline_margin{std::chrono::microseconds(200)};
-  /// Dependence-edge sample size for cache keys (request.hpp).
-  std::size_t key_sample_points = 32;
-  /// CompiledSpec entries kept for tunes (LRU, keyed by
-  /// make_compile_key).  Two tunes that differ only in FoM or search
-  /// knobs share one set of flat evaluation tables; 0 disables the
-  /// cache and compiles per tune.
-  std::size_t compile_cache_capacity = 128;
-  /// Post-hoc axiomatic validation of every tune winner through
-  /// analyze::ExecChecker (Response::exec / exec_checked).  On by
-  /// default: the check costs <5% of the tune it guards
-  /// (tests/analyze_exec_test.cpp pins the ratio), and it is the only
-  /// legality evidence that shares no code with the searchers' gate.
-  bool check_exec = true;
 };
 
 class Service {
@@ -149,27 +133,19 @@ class Service {
   void dispatch_loop();
   void run_group(std::vector<std::unique_ptr<Pending>>& group);
   [[nodiscard]] Response execute(const Pending& p);
-  /// kTune with strategy == kAnneal / kBeam: fm::search_table over the
-  /// TableMap space, with the same service-owned scheduler / compile
-  /// cache / deadline plumbing as the exhaustive path.
-  void execute_strategy_tune(const Pending& p, Response& r);
-  /// kPipelineTune: fm::tune_pipeline_greedy / _paired over the request's
-  /// stage DAG.  Per-stage compiles route through the compile cache via
-  /// the tuner's compile hook; every committed stage winner is then
-  /// certified through ExecChecker with its producer-substituted input
-  /// homes (the diagnostics aggregate into Response::exec / lint).
-  void execute_pipeline_tune(const Pending& p, Response& r);
-  /// The execution plumbing every tune path shares, written into its
-  /// options (fm::SearchOptions, StrategyOptions or PipelineOptions):
-  /// the service's scheduler, the request's lane ask clamped by the tune
-  /// lane cap, and — under a deadline only — a cancel that fires
-  /// deadline_margin early, chained over the caller's `user` hook.
-  template <typename Opts>
-  void apply_tune_plumbing(const Pending& p,
-                           const std::function<bool()>& user, Opts& opts);
-  /// Post-hoc ExecChecker replay of a tune winner's execution witness
-  /// (no-op unless ServiceConfig::check_exec).  Appends to Response::exec
-  /// — pipeline tunes certify one winner per stage.
+  /// kTune and kPipelineTune: a kTune is the one-stage pipeline over
+  /// req.spec, so both run fm::tune_pipeline_greedy / _paired on the
+  /// service's scheduler, with the tune lane cap, stage compiles through
+  /// the compile cache, and the caller's cancel hook (chained with the
+  /// deadline cutoff when there is one).  Every committed stage winner
+  /// is then certified with its resolved input homes through the linter
+  /// and ExecChecker (Response::lint / exec).  A kTune reply carries
+  /// stage 0's searcher detail in Response::search / strategy and
+  /// leaves Response::pipeline at its default.
+  void execute_tune(const Pending& p, Response& r);
+  /// Post-hoc ExecChecker replay of a tune winner's execution witness.
+  /// Appends to Response::exec — pipeline tunes certify one winner per
+  /// stage.
   void check_winner_exec(Response& r, const analyze::ExecWitness& witness);
   void respond(Pending& p, Response r);
   /// CompiledSpec for a tune request, via the LRU compile cache (may
@@ -190,11 +166,15 @@ class Service {
   /// key run a single compile and the duplicates wait on the first
   /// (mirrors the dispatcher's duplicate-coalescing for tunes).  Both
   /// single-spec tunes (compiled_for) and per-stage pipeline compiles
-  /// route through here.
+  /// route through here.  LRU over kCompileCacheCapacity entries: two
+  /// tunes that differ only in FoM or search knobs share one set of
+  /// flat evaluation tables.
   [[nodiscard]] std::shared_ptr<const fm::CompiledSpec> compiled_cached(
       const CacheKey& key,
       const std::function<std::shared_ptr<const fm::CompiledSpec>()>&
           compile);
+
+  static constexpr std::size_t kCompileCacheCapacity = 128;
 
   /// One compile-cache entry: the compiled tables plus the LRU hook.
   struct CompiledEntry {

@@ -15,12 +15,15 @@
 //     host reference whichever tuner placed it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <string>
 
 #include "algos/editdist.hpp"
 #include "algos/fft.hpp"
 #include "algos/pipelines.hpp"
+#include "algos/specs.hpp"
 #include "fm/cost.hpp"
 #include "fm/pipeline.hpp"
 #include "fm/search.hpp"
@@ -262,6 +265,81 @@ TEST(Pipeline, CancelCutsTuningAndReportsIncomplete) {
   const PipelineResult r = tune_pipeline_greedy(pipe, machine, opts);
   EXPECT_FALSE(r.found);
   EXPECT_FALSE(r.completed);
+}
+
+TEST(Pipeline, CancelMarksTheTuneCutOnlyWhenWorkWasCut) {
+  // Greedy anneal over a two-stage chain.  A hook that first returns
+  // true on its k-th poll, for every k up to past the end of a full
+  // run: the pipeline reports completed exactly when every stage
+  // committed a search that ran its whole budget — a poll after the
+  // last unit of work must not mark a finished tune as cut.
+  const Pipeline pipe = algos::irregular_chain_pipeline(24, 3, 7);
+  const MachineConfig machine = make_machine(4, 1);
+  PipelineOptions opts;
+  opts.strategy = StrategyKind::kAnneal;
+  opts.strategy_opts.chains = 2;
+  opts.strategy_opts.epochs = 6;
+  opts.strategy_opts.iters_per_epoch = 32;
+  const PipelineResult full = tune_pipeline_greedy(pipe, machine, opts);
+  ASSERT_TRUE(full.found);
+  ASSERT_TRUE(full.completed);
+
+  int polls = 0;
+  opts.cancel = [&polls] {
+    ++polls;
+    return false;
+  };
+  (void)tune_pipeline_greedy(pipe, machine, opts);
+  const int full_polls = polls;
+  ASSERT_GT(full_polls, 0);
+
+  for (int k = 1; k <= full_polls + 4; ++k) {
+    SCOPED_TRACE("cancel from poll " + std::to_string(k));
+    polls = 0;
+    opts.cancel = [&polls, k] { return ++polls >= k; };
+    const PipelineResult r = tune_pipeline_greedy(pipe, machine, opts);
+    const bool every_stage_ran_its_budget =
+        std::all_of(r.stages.begin(), r.stages.end(),
+                    [](const StageResult& st) {
+                      return st.found && st.strategy.completed;
+                    });
+    EXPECT_EQ(r.completed, every_stage_ran_its_budget);
+    if (every_stage_ran_its_budget) {
+      EXPECT_DOUBLE_EQ(r.merit, full.merit);
+    }
+  }
+}
+
+TEST(Pipeline, ImmediateCancelStillAnswersTheAnnealSeed) {
+  // One anneal stage under a hook that is always true: no poll comes
+  // before the stage search, so the searcher's own cut answer — its
+  // legal serial seed — is the stage winner, like a plain search_table.
+  const auto spec = std::make_shared<const FunctionSpec>(
+      algos::irregular_dag_spec(24, 3, 7));
+  const MachineConfig machine = make_machine(4, 1);
+  Pipeline pipe;
+  pipe.add_stage({"dag", spec, {StageInput::external(InputHome::dram())}});
+  PipelineOptions opts;
+  opts.strategy = StrategyKind::kAnneal;
+  opts.cancel = [] { return true; };
+  const PipelineResult r = tune_pipeline_greedy(pipe, machine, opts);
+  ASSERT_TRUE(r.found);
+  EXPECT_FALSE(r.completed);
+
+  Mapping proto;
+  proto.set_input(spec->input_tensors().front(), InputHome::dram());
+  StrategyOptions so = opts.strategy_opts;
+  so.fom = opts.fom;
+  so.cancel = opts.cancel;
+  const StrategyResult plain =
+      search_table(*spec, machine, proto, StrategyKind::kAnneal, so);
+  ASSERT_TRUE(plain.found);
+  const StageResult& st = r.stages.front();
+  EXPECT_FALSE(st.strategy.completed);
+  EXPECT_EQ(st.strategy.epochs_run, 0);
+  EXPECT_EQ(st.table.pe, plain.best.pe);
+  EXPECT_EQ(st.table.cycle, plain.best.cycle);
+  EXPECT_DOUBLE_EQ(st.merit, plain.merit);
 }
 
 TEST(Pipeline, StrategyStagesTuneTheIrregularChain) {

@@ -93,6 +93,32 @@ TEST(HarmonyLintCli, CheckExecMergesIntoTheExitCode) {
 TEST(HarmonyLintCli, BadArgumentsExitTwo) {
   EXPECT_EQ(run_lint("--map=nonsense").exit_code, 2);
   EXPECT_EQ(run_lint("--no-such-flag").exit_code, 2);
+  // Malformed numbers and spec shapes exit 2 with a message; none may
+  // abort (a SIGABRT exits 134 through the shell).
+  for (const char* args :
+       {"--spec=editdist:abc", "--spec=editdist:0x4", "--spec=conv:4,0",
+        "--spec=editdist:99999999999999999999x2", "--machine=x4",
+        "--pe-capacity=oops", "--map=affine:a,b,c,d,e,f",
+        "--pipeline=fft:zz"}) {
+    const CliResult r = run_lint(args);
+    EXPECT_EQ(r.exit_code, 2) << args << "\n" << r.out;
+    EXPECT_NE(r.out.find("harmony-lint"), std::string::npos)
+        << args << "\n" << r.out;
+  }
+}
+
+TEST(HarmonyLintCli, CatalogOnlyFamiliesLint) {
+  // --spec goes through serve::SpecCatalog, so matmul and irregular
+  // lint like the older families.
+  for (const char* args : {"--spec=matmul:4 --machine=2x2 --map=serial",
+                           "--spec=irregular:16,3,1 --machine=2x1 "
+                           "--map=table --check-exec"}) {
+    const CliResult r = run_lint(args);
+    EXPECT_TRUE(r.exit_code == 0 || r.exit_code == 1) << args << "\n"
+                                                      << r.out;
+    EXPECT_NE(r.out.find("legal"), std::string::npos) << args << "\n"
+                                                      << r.out;
+  }
 }
 
 }  // namespace

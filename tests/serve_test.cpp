@@ -652,6 +652,87 @@ TEST(Service, StrategyDeadlineCutReturnsBestSoFarUncached) {
   EXPECT_FALSE(again.cache_hit);
 }
 
+TEST(Service, CallerCancelWithoutDeadlineCutsTuneAndPipelineTune) {
+  // No deadline: the caller's own hook is the only thing that can cut
+  // the tune, and it must reach the searcher for both kinds.
+  Service svc({.num_workers = 2});
+
+  Request tune = editdist_cost_request(8, 8);
+  tune.kind = RequestKind::kTune;
+  tune.search.cancel = [] { return true; };
+
+  Request pipe;
+  pipe.kind = RequestKind::kPipelineTune;
+  pipe.pipeline = std::make_shared<const fm::Pipeline>(
+      algos::scan_filter_scan_pipeline(16));
+  pipe.machine = fm::make_machine(4, 1);
+  pipe.search.space.time_coeffs = {0, 1, 2};
+  pipe.search.space.space_coeffs = {-1, 0, 1};
+  pipe.search.cancel = [] { return true; };
+
+  for (const Request& req : {tune, pipe}) {
+    SCOPED_TRACE(to_string(req.kind));
+    const Response r = svc.call(req);
+    ASSERT_TRUE(r.ok()) << r.error;
+    EXPECT_FALSE(r.deadline_cut);  // cut by the caller, not a deadline
+    EXPECT_FALSE(converged(r));
+    if (req.kind == RequestKind::kTune) {
+      EXPECT_FALSE(r.search.exhausted);
+    } else {
+      EXPECT_FALSE(r.pipeline.completed);
+    }
+    // A cut answer is never cached.
+    EXPECT_FALSE(svc.call(req).cache_hit);
+  }
+}
+
+TEST(Service, CancelBeforeSearchStartsAnswersUncached) {
+  // A cancel that fires before the search starts, by the caller's hook
+  // or by a deadline already past its cutoff: the exhaustive search
+  // answers an empty frontier, anneal/beam answer their legal seed.
+  ServiceConfig cfg;
+  cfg.num_workers = 2;
+  cfg.deadline_margin = 10s;  // any deadline's cutoff is already past
+  Service svc(cfg);
+  for (const bool by_deadline : {false, true}) {
+    SCOPED_TRACE(by_deadline ? "deadline" : "caller hook");
+    Request exhaustive = editdist_cost_request(8, 8);
+    exhaustive.kind = RequestKind::kTune;
+    if (by_deadline) {
+      exhaustive.deadline = 1ms;
+    } else {
+      exhaustive.search.cancel = [] { return true; };
+    }
+    const Response e = svc.call(exhaustive);
+    ASSERT_TRUE(e.ok()) << e.error;
+    EXPECT_FALSE(e.search.found);
+    EXPECT_FALSE(e.search.exhausted);
+    EXPECT_EQ(e.deadline_cut, by_deadline);
+    EXPECT_FALSE(e.exec_checked);
+    EXPECT_FALSE(svc.call(exhaustive).cache_hit);
+
+    for (const fm::StrategyKind kind :
+         {fm::StrategyKind::kAnneal, fm::StrategyKind::kBeam}) {
+      Request stochastic = dag_anneal_request(24, 4);
+      stochastic.strategy = kind;
+      if (by_deadline) {
+        stochastic.deadline = 1ms;
+      } else {
+        stochastic.strategy_opts.cancel = [] { return true; };
+      }
+      const Response r = svc.call(stochastic);
+      ASSERT_TRUE(r.ok()) << r.error;
+      ASSERT_TRUE(r.strategy.found);
+      EXPECT_FALSE(r.strategy.completed);
+      EXPECT_EQ(r.strategy.epochs_run, 0);
+      EXPECT_EQ(r.deadline_cut, by_deadline);
+      EXPECT_TRUE(r.exec_checked);
+      EXPECT_TRUE(r.exec.empty());
+      EXPECT_FALSE(svc.call(stochastic).cache_hit);
+    }
+  }
+}
+
 TEST(Service, PipelineTuneMatchesDirectTunerAndCertifiesEveryStage) {
   ServiceConfig cfg;
   cfg.num_workers = 2;
@@ -710,8 +791,8 @@ TEST(Service, PipelineTuneMatchesDirectTunerAndCertifiesEveryStage) {
 
   // Per-stage compiles went through the compile cache: the paired run
   // probes consumers under candidate layouts (distinct home
-  // fingerprints => distinct keys), then certification and the greedy
-  // rerun re-request the same triples and hit.
+  // fingerprints => distinct keys), then the greedy rerun re-requests
+  // the same triples and hits.
   const MetricsSnapshot snap = svc.metrics();
   EXPECT_GT(snap.compile_misses, 0u);
   EXPECT_GT(snap.compile_hits, 0u);
