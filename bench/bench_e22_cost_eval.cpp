@@ -418,7 +418,7 @@ int main(int argc, char** argv) {
     const double serial_ms =
         std::chrono::duration<double, std::milli>(BenchClock::now() - s0)
             .count();
-    sc.title("E22.b — precompiled search scaling, matmul " +
+    sc.title("E22.b — pre-compiled search scaling, matmul " +
              std::to_string(n) + "^3 (" +
              std::to_string(serial.enumerated) + " candidates; host has " +
              std::to_string(hw_threads) +

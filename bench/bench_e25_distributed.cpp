@@ -23,11 +23,12 @@
 // is that at 80% of single-shard saturation a 4-shard fleet's P99 is
 // at least 2x better than the single shard's.
 //
-// E25.c restarts a shard from its CacheSnapshot and verifies the
-// warm-start contract (enforced in smoke runs too): the restore-time
-// compile misses are bounded by what the source shard paid, and
-// replaying the snapshot's keys afterwards is pure cache hits — zero
-// new compiles, no stampede.
+// E25.c restarts a shard from its CacheSnapshot — the source shard's
+// result cache, restored by key — and verifies the warm-start contract
+// (enforced in smoke runs too): the restore compiles nothing (its
+// compile misses stay within what the source shard paid; they read 0),
+// and replaying the snapshot's keys afterwards is pure cache hits —
+// zero new compiles, no stampede.
 //
 // Flags:
 //   --smoke   shrink the sweep (CI's perf label runs this); the 2x
@@ -70,9 +71,9 @@ struct Fleet {
 
   explicit Fleet(std::size_t n) {
     for (std::size_t i = 0; i < n; ++i) {
-      serve::WorkerConfig wcfg;
-      wcfg.service.num_workers = 2;
-      workers.push_back(std::make_unique<serve::Worker>(wcfg));
+      serve::ServiceConfig cfg;
+      cfg.num_workers = 2;
+      workers.push_back(std::make_unique<serve::Worker>(cfg));
       serve::ChannelPair pair = serve::make_loopback_pair();
       threads.emplace_back(
           [w = workers.back().get(), ch = pair.right] { w->serve(ch); });

@@ -186,7 +186,7 @@ SearchResult search_affine(const FunctionSpec& spec,
   trace::Span search_span("fm", "search_affine", 0, opts.resume_from);
 
   // Compile the triple once per search (flat dependence + geometry
-  // tables, see fm/compiled.hpp) unless the caller shares a precompiled
+  // tables, see fm/compiled.hpp) unless the caller shares a pre-compiled
   // spec.  All lanes read it; each lane owns its own EvalContext scratch.
   std::shared_ptr<const CompiledSpec> cs = opts.compiled;
   if (cs == nullptr) cs = compile_spec(spec, machine, input_proto);

@@ -65,6 +65,16 @@ CacheStats ResultCache::stats() const {
   return total;
 }
 
+std::vector<std::pair<CacheKey, std::shared_ptr<const Response>>>
+ResultCache::entries() const {
+  std::vector<std::pair<CacheKey, std::shared_ptr<const Response>>> out;
+  for (const auto& sh : shards_) {
+    std::lock_guard<std::mutex> lk(sh->mu);
+    out.insert(out.end(), sh->lru.rbegin(), sh->lru.rend());
+  }
+  return out;
+}
+
 void ResultCache::clear() {
   for (const auto& sh : shards_) {
     std::lock_guard<std::mutex> lk(sh->mu);

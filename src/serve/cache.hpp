@@ -57,6 +57,13 @@ class ResultCache {
   /// cross-shard sum is a point-in-time composite).
   [[nodiscard]] CacheStats stats() const;
 
+  /// Every (key, value) pair, shard by shard, least-recently-used
+  /// first — put() in this order rebuilds each shard's recency order.
+  /// Touches neither the hit/miss counters nor recency.
+  [[nodiscard]] std::vector<
+      std::pair<CacheKey, std::shared_ptr<const Response>>>
+  entries() const;
+
   void clear();
 
   /// The total entry budget as requested at construction.

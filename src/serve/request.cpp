@@ -277,34 +277,16 @@ CacheKey make_cache_key(const Request& req) {
   return fp.key();
 }
 
-CacheKey make_compile_key(const Request& req) {
-  HARMONY_REQUIRE(req.spec != nullptr, "make_compile_key: null spec");
-  Fingerprint fp;
-  fp.mix(kKeySchema);
-  // Domain-separation tag: result keys mix RequestKind (0..2) here, so a
-  // compile key can never collide with any result key.
-  fp.mix(std::uint64_t{0xc04111edULL});
-  mix_spec(fp, *req.spec);
-  mix_machine(fp, req.machine);
-  fp.mix(static_cast<std::uint64_t>(req.inputs.size()));
-  for (const InputPlacement& in : req.inputs) {
-    fp.mix(static_cast<std::uint64_t>(in.kind));
-    fp.mix(in.pe.x);
-    fp.mix(in.pe.y);
-  }
-  return fp.key();
-}
-
-CacheKey make_stage_compile_key(const Request& req, std::size_t stage,
+CacheKey make_stage_compile_key(const fm::FunctionSpec& spec,
+                                const fm::MachineConfig& machine,
                                 std::uint64_t home_fingerprint) {
-  HARMONY_REQUIRE(req.pipeline != nullptr && stage < req.pipeline->size(),
-                  "make_stage_compile_key: bad pipeline stage");
   Fingerprint fp;
   fp.mix(kKeySchema);
-  // Domain-separation tag, distinct from make_compile_key's.
+  // Domain-separation tag: result keys mix RequestKind (0..3) here, so a
+  // compile key can never collide with any result key.
   fp.mix(std::uint64_t{0x51a6e5edULL});
-  mix_spec(fp, *req.pipeline->stage(stage).spec);
-  mix_machine(fp, req.machine);
+  mix_spec(fp, spec);
+  mix_machine(fp, machine);
   // The resolved input homes, compressed by the tuner: externals
   // structurally, producer winners by their committed coefficients /
   // placement tables (fm/pipeline.cpp).

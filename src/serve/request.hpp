@@ -5,7 +5,8 @@
 // depends only on the spec, the mapping, the machine, and the figure of
 // merit.  Pure queries are memoizable, so the serving layer fronts the
 // expensive oracles (fm/cost.hpp, fm/legality.hpp, fm/search.hpp) with a
-// typed request/response interface plus a 128-bit canonical cache key.
+// typed request/response interface plus a 128-bit canonical cache key
+// (and one coarser compile key per tune stage, make_stage_compile_key).
 //
 // The key is a *fingerprint*, not a proof of semantic equality: spec
 // structure (domains, bit widths, op costs) is hashed exactly, and the
@@ -199,21 +200,17 @@ struct CacheKeyHash {
 /// order dependence.
 [[nodiscard]] CacheKey make_cache_key(const Request& req);
 
-/// Key over only what fm::compile_spec consumes: spec structure, sampled
-/// dependence edges, machine config, and input placements.  Deliberately
-/// coarser than make_cache_key — two tunes that differ in FoM or search
-/// knobs share one CompiledSpec, so the service's compile cache can hand
-/// both the same flat tables.  Tagged so it can never alias a result key.
-[[nodiscard]] CacheKey make_compile_key(const Request& req);
-
-/// Compile key for one pipeline stage: stage spec structure, machine,
-/// and the resolved-input-home fingerprint the pipeline tuner reports
-/// (fm::PipelineOptions::compile).  Producer-fed stages recompile when
-/// — and only when — the producer's committed layout changes, and two
-/// pipeline tunes sharing a stage triple share its flat tables.  Tagged
-/// so it can never alias a result key or a single-spec compile key.
-[[nodiscard]] CacheKey make_stage_compile_key(const Request& req,
-                                              std::size_t stage,
+/// Key over only what fm::compile_spec consumes for one tune stage —
+/// a kTune's single stage or any kPipelineTune stage: spec structure,
+/// sampled dependence edges, machine, and the resolved-input-home
+/// fingerprint the pipeline tuner reports (fm::PipelineOptions::compile).
+/// Deliberately coarser than make_cache_key: two tunes that differ only
+/// in FoM or search knobs share one CompiledSpec, as do a kTune and a
+/// one-stage kPipelineTune over the same spec, machine and homes, and a
+/// producer-fed stage recompiles when — and only when — the producer's
+/// committed layout changes.  Tagged so it can never alias a result key.
+[[nodiscard]] CacheKey make_stage_compile_key(const fm::FunctionSpec& spec,
+                                              const fm::MachineConfig& machine,
                                               std::uint64_t home_fingerprint);
 
 }  // namespace harmony::serve

@@ -40,6 +40,7 @@ void Router::submit(const WireRequest& req, Callback on_reply) {
 
   std::uint64_t id = 0;
   std::shared_ptr<Channel> channel;
+  bool dead = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (shutdown_ || shards_.empty()) {
@@ -94,11 +95,14 @@ void Router::submit(const WireRequest& req, Callback on_reply) {
     ++stats_.routed;
     ++stats_.per_shard[target];
     channel = shards_[target]->channel;
+    dead = shards_[target]->dead;
   }
 
   // Send outside the lock: the reply cannot beat the send, and a slow
-  // kernel buffer must not stall every other submitter.
-  if (!channel->send(Frame{MsgType::kSubmit, id, std::move(body)})) {
+  // kernel buffer must not stall every other submitter.  A dead shard's
+  // reader is gone, so nothing would ever match a reply: fail the ask
+  // the way a failed send does.
+  if (dead || !channel->send(Frame{MsgType::kSubmit, id, std::move(body)})) {
     Response r;
     r.status = Status::kError;
     r.error = "shard channel closed";
@@ -191,7 +195,9 @@ void Router::fail_shard(std::size_t shard, const std::string& reason) {
       r.error = reason;
       failed.emplace_back(id, std::move(r));
     }
-    // Unblock any control() caller waiting on this shard forever.
+    // Mark the shard dead: a control() caller waiting on it gives up,
+    // and later asks routed to it fail at once.
+    shards_[shard]->dead = true;
     control_cv_.notify_all();
   }
   for (auto& [id, resp] : failed) finish_ask(id, std::move(resp));
@@ -237,9 +243,14 @@ Frame Router::control(std::size_t shard, MsgType send_type,
     throw WireError("Router::control: shard channel closed");
   }
   std::unique_lock<std::mutex> lock(mu_);
-  control_cv_.wait(lock, [&] { return wait->done || shutdown_; });
+  const Shard& target = *shards_[shard];
+  control_cv_.wait(lock,
+                   [&] { return wait->done || shutdown_ || target.dead; });
   control_.erase(id);
-  if (!wait->done) throw WireError("Router::control: shutdown during RPC");
+  if (!wait->done) {
+    throw WireError(target.dead ? "Router::control: shard channel closed"
+                                : "Router::control: shutdown during RPC");
+  }
   if (wait->frame.type != want_type) {
     throw WireError("Router::control: unexpected reply type");
   }

@@ -125,6 +125,9 @@ class Router {
     std::string name;
     std::shared_ptr<Channel> channel;
     std::thread reader;
+    /// Set (under mu_) once the reader saw EOF and failed the shard's
+    /// pending asks: a control RPC waiting on this shard gives up.
+    bool dead = false;
   };
 
   struct PendingAsk {
@@ -139,7 +142,8 @@ class Router {
 
   void reader_loop(std::size_t shard);
   void finish_ask(std::uint64_t id, Response resp);
-  /// Fails every pending ask routed to `shard` (reader saw EOF).
+  /// Marks `shard` dead and fails every pending ask routed to it (reader
+  /// saw EOF); blocked control RPCs to it throw WireError.
   void fail_shard(std::size_t shard, const std::string& reason);
   [[nodiscard]] Frame control(std::size_t shard, MsgType send_type,
                               std::vector<std::uint8_t> body,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <functional>
 #include <unordered_map>
 #include <utility>
 
@@ -21,16 +22,6 @@ fm::InputHome input_home(const Request& req, std::size_t idx) {
       .to_home();
 }
 
-/// The declared input homes as a Mapping (computed assignment unset).
-fm::Mapping input_proto(const Request& req) {
-  fm::Mapping m;
-  const auto inputs = req.spec->input_tensors();
-  for (std::size_t idx = 0; idx < inputs.size(); ++idx) {
-    m.set_input(inputs[idx], input_home(req, idx));
-  }
-  return m;
-}
-
 /// Builds the full Mapping a request describes: the AffineMap on the
 /// single computed tensor plus the declared input homes.
 fm::Mapping materialize_mapping(const Request& req,
@@ -42,7 +33,11 @@ fm::Mapping materialize_mapping(const Request& req,
   // from a hostile wire frame) would divide by zero.
   HARMONY_REQUIRE(map.cols > 0 && map.rows > 0,
                   "serve: map.cols and map.rows must be positive");
-  fm::Mapping m = input_proto(req);
+  fm::Mapping m;
+  const auto inputs = req.spec->input_tensors();
+  for (std::size_t idx = 0; idx < inputs.size(); ++idx) {
+    m.set_input(inputs[idx], input_home(req, idx));
+  }
   m.set_computed(computed[0], map.place_fn(), map.time_fn());
   return m;
 }
@@ -327,17 +322,17 @@ void Service::execute_tune(const Pending& p, Response& r) {
       opts.search.grain = 1;
     }
   }
-  // Stage compiles go through the coalescing compile cache: a kTune
-  // under its (spec, machine, inputs) key, shared with tunes that differ
-  // only in FoM or search knobs; a pipeline stage under its resolved
-  // input homes.  The last compile of each stage is its committing
+  // Every stage compile — a kTune's single stage included — goes
+  // through the coalescing compile cache under its (spec, machine,
+  // resolved homes) key, shared with tunes that differ only in FoM or
+  // search knobs.  The last compile of each stage is its committing
   // run's (probes only ever target later stages), and certification
   // below reuses it instead of looking it up again.
   std::vector<std::shared_ptr<const fm::CompiledSpec>> compiled(pipe.size());
   opts.compile = [&](std::size_t stage, const fm::Mapping& proto,
                      std::uint64_t home_fp) {
-    compiled[stage] = single ? compiled_for(req)
-                             : compiled_for_stage(req, stage, proto, home_fp);
+    compiled[stage] =
+        compiled_for_stage(pipe.stage(stage), req.machine, proto, home_fp);
     return compiled[stage];
   };
 
@@ -402,50 +397,24 @@ void Service::check_winner_exec(Response& r,
   metrics_.on_exec_check(!rep.ok());
 }
 
-void Service::warm(const Request& req, Response resp) {
-  if (!cacheable(req)) return;
-  const CacheKey key = make_cache_key(req);
+void Service::warm(const CacheKey& key, Response resp) {
   resp.cache_hit = false;
   resp.latency = std::chrono::nanoseconds{0};
   cache_.put(key, std::make_shared<Response>(std::move(resp)));
 }
 
-void Service::precompile(const Request& req) {
-  if (req.kind != RequestKind::kTune || req.spec == nullptr) return;
-  if (req.strategy != fm::StrategyKind::kExhaustive) return;
-  (void)compiled_for(req);
-}
-
-std::shared_ptr<const fm::CompiledSpec> Service::compiled_for(
-    const Request& req) {
-  return compiled_cached(make_compile_key(req), [&] {
-    return fm::compile_spec(*req.spec, req.machine, input_proto(req));
-  });
-}
-
 std::shared_ptr<const fm::CompiledSpec> Service::compiled_for_stage(
-    const Request& req, std::size_t stage, const fm::Mapping& proto,
-    std::uint64_t home_fp) {
-  const fm::FunctionSpec& spec = *req.pipeline->stage(stage).spec;
-  bool hashable = true;
-  for (const fm::StageInput& b : req.pipeline->stage(stage).inputs) {
+    const fm::PipelineStage& stage, const fm::MachineConfig& machine,
+    const fm::Mapping& proto, std::uint64_t home_fp) {
+  for (const fm::StageInput& b : stage.inputs) {
     if (b.kind == fm::StageInput::Kind::kExternal &&
         b.home.kind == fm::InputHome::Kind::kDistributed) {
-      hashable = false;  // opaque closure: never share across requests
+      // Opaque closure: never share across requests.
+      metrics_.on_compile(false);
+      return fm::compile_spec(*stage.spec, machine, proto);
     }
   }
-  if (!hashable) {
-    metrics_.on_compile(false);
-    return fm::compile_spec(spec, req.machine, proto);
-  }
-  return compiled_cached(
-      make_stage_compile_key(req, stage, home_fp),
-      [&] { return fm::compile_spec(spec, req.machine, proto); });
-}
-
-std::shared_ptr<const fm::CompiledSpec> Service::compiled_cached(
-    const CacheKey& key,
-    const std::function<std::shared_ptr<const fm::CompiledSpec>()>& compile) {
+  const CacheKey key = make_stage_compile_key(*stage.spec, machine, home_fp);
   // Leader vs. follower is decided atomically at the probe: the caller
   // that *inserts* the in-flight entry compiles (out of lock, so one
   // slow compile never stalls the pool); every caller that *finds* it
@@ -484,7 +453,7 @@ std::shared_ptr<const fm::CompiledSpec> Service::compiled_cached(
   std::shared_ptr<const fm::CompiledSpec> compiled;
   std::exception_ptr error;
   try {
-    compiled = compile();
+    compiled = fm::compile_spec(*stage.spec, machine, proto);
   } catch (...) {
     error = std::current_exception();
   }

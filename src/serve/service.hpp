@@ -27,13 +27,13 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <future>
 #include <list>
 #include <memory>
 #include <mutex>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "sched/scheduler.hpp"
@@ -94,18 +94,22 @@ class Service {
   /// dispatcher.  Idempotent; called by the destructor.
   void shutdown();
 
-  /// Warm-start hook (snapshot restore, DESIGN.md §17): seeds the
-  /// result cache with a previously computed response for `req`, as if
-  /// the service had answered it.  Delivery metadata (cache_hit,
-  /// latency) is sanitized; non-cacheable requests are ignored.
-  void warm(const Request& req, Response resp);
+  /// Warm-start hook (snapshot restore, DESIGN.md §17): puts a
+  /// previously computed response into the result cache under `key`, as
+  /// if the service had answered it.  Delivery metadata (cache_hit,
+  /// latency) is cleared.  The caller vouches that `key` is the
+  /// response's make_cache_key — a snapshot's keys come from
+  /// cache_entries().
+  void warm(const CacheKey& key, Response resp);
 
-  /// Warm-start hook for the compile path: populates the CompiledSpec
-  /// cache for a tune request (no-op for other kinds).  A restored
-  /// shard pays its compile misses *here*, at restore time, instead of
-  /// stampeding fm::compile_spec when traffic returns — replaying the
-  /// snapshot's key sequence afterwards adds zero compile misses.
-  void precompile(const Request& req);
+  /// The result cache's contents (ResultCache::entries order): exactly
+  /// the ok, converged, freshly computed answers the cache holds, which
+  /// is a shard's whole warm state.
+  [[nodiscard]] std::vector<
+      std::pair<CacheKey, std::shared_ptr<const Response>>>
+  cache_entries() const {
+    return cache_.entries();
+  }
 
   [[nodiscard]] MetricsSnapshot metrics() const;
   [[nodiscard]] CacheStats cache_stats() const { return cache_.stats(); }
@@ -148,31 +152,20 @@ class Service {
   /// stage.
   void check_winner_exec(Response& r, const analyze::ExecWitness& witness);
   void respond(Pending& p, Response r);
-  /// CompiledSpec for a tune request, via the LRU compile cache (may
-  /// compile — propagates oracle preconditions as exceptions, which
-  /// execute() converts to kError).
-  [[nodiscard]] std::shared_ptr<const fm::CompiledSpec> compiled_for(
-      const Request& req);
-  /// CompiledSpec for one pipeline stage under the resolved input-home
-  /// prototype `proto` (fingerprinted by `home_fp`).  Stages with
-  /// un-fingerprintable homes (a distributed *external* binding —
-  /// producer-fixed distributed homes are covered by home_fp) bypass the
-  /// cache and compile directly.
+  /// CompiledSpec for one tune stage under the resolved input-home
+  /// prototype `proto` (fingerprinted by `home_fp`), via the LRU compile
+  /// cache under make_stage_compile_key (may compile — propagates oracle
+  /// preconditions as exceptions, which execute() converts to kError).
+  /// In-flight coalescing: concurrent misses on one key run a single
+  /// compile and the duplicates wait on the first (mirrors the
+  /// dispatcher's duplicate-coalescing for tunes).  Two tunes that
+  /// differ only in FoM or search knobs share one set of flat evaluation
+  /// tables.  Stages with un-fingerprintable homes (a distributed
+  /// *external* binding — producer-fixed distributed homes are covered by
+  /// home_fp) bypass the cache and compile directly.
   [[nodiscard]] std::shared_ptr<const fm::CompiledSpec> compiled_for_stage(
-      const Request& req, std::size_t stage, const fm::Mapping& proto,
-      std::uint64_t home_fp);
-  /// The compile cache's general entry point: probe by key, else run
-  /// `compile` — with in-flight coalescing, so concurrent misses on one
-  /// key run a single compile and the duplicates wait on the first
-  /// (mirrors the dispatcher's duplicate-coalescing for tunes).  Both
-  /// single-spec tunes (compiled_for) and per-stage pipeline compiles
-  /// route through here.  LRU over kCompileCacheCapacity entries: two
-  /// tunes that differ only in FoM or search knobs share one set of
-  /// flat evaluation tables.
-  [[nodiscard]] std::shared_ptr<const fm::CompiledSpec> compiled_cached(
-      const CacheKey& key,
-      const std::function<std::shared_ptr<const fm::CompiledSpec>()>&
-          compile);
+      const fm::PipelineStage& stage, const fm::MachineConfig& machine,
+      const fm::Mapping& proto, std::uint64_t home_fp);
 
   static constexpr std::size_t kCompileCacheCapacity = 128;
 

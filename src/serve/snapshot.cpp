@@ -9,7 +9,8 @@ std::vector<std::uint8_t> encode(const CacheSnapshot& snap) {
   w.u32(CacheSnapshot::kVersion);
   w.u32(static_cast<std::uint32_t>(snap.entries.size()));
   for (const SnapshotEntry& e : snap.entries) {
-    w.bytes(e.request);
+    w.u64(e.key.hi);
+    w.u64(e.key.lo);
     w.bytes(e.response);
   }
   return w.take();
@@ -28,7 +29,8 @@ CacheSnapshot decode_snapshot(const std::vector<std::uint8_t>& bytes) {
   snap.entries.reserve(std::min<std::size_t>(count, 4096));
   for (std::uint32_t i = 0; i < count; ++i) {
     SnapshotEntry e;
-    e.request = r.bytes();
+    e.key.hi = r.u64();
+    e.key.lo = r.u64();
     e.response = r.bytes();
     snap.entries.push_back(std::move(e));
   }

@@ -1,25 +1,23 @@
 #include "serve/worker.hpp"
 
-#include <algorithm>
 #include <future>
+#include <thread>
 #include <utility>
+#include <vector>
 
 #include "trace/trace.hpp"
 
 namespace harmony::serve {
 
-Worker::Worker(WorkerConfig cfg)
-    : cfg_(cfg),
-      service_(cfg.service),
-      replies_(cfg.service.queue_capacity + 64) {}
+Worker::Worker(ServiceConfig cfg)
+    : service_(cfg), replies_(cfg.queue_capacity + 64) {}
 
 Worker::~Worker() { replies_.close(); }
 
 void Worker::serve(std::shared_ptr<Channel> channel) {
   std::vector<std::thread> responders;
-  const unsigned n = std::max(1u, cfg_.responders);
-  responders.reserve(n);
-  for (unsigned i = 0; i < n; ++i) {
+  responders.reserve(kResponders);
+  for (unsigned i = 0; i < kResponders; ++i) {
     responders.emplace_back([this, &channel] { responder_loop(*channel); });
   }
 
@@ -42,15 +40,6 @@ void Worker::serve(std::shared_ptr<Channel> channel) {
                             " is not supported over the wire "
                             "(in-process tiers only)");
           }
-          // Canonical (QoS-zeroed) encoding: the snapshot-log identity,
-          // so re-asks with a different deadline dedup onto one entry.
-          WireRequest canon = wire;
-          canon.deadline_ns = 0;
-          canon.tune_workers = 0;
-          Writer cw;
-          encode(cw, canon);
-          reply->request = cw.take();
-          reply->key = routing_key(wire);
           reply->future = service_.submit(to_request(wire, catalog_));
         } catch (const std::exception& e) {
           Response error;
@@ -66,7 +55,7 @@ void Worker::serve(std::shared_ptr<Channel> channel) {
           Response rej;
           rej.status = Status::kRejected;
           rej.error = "shard responder backlog full";
-          rej.retry_after = cfg_.service.retry_after;
+          rej.retry_after = service_.config().retry_after;
           Writer w;
           encode(w, rej);
           channel->send(Frame{MsgType::kReply, frame.id, w.take()});
@@ -116,23 +105,8 @@ void Worker::responder_loop(Channel& channel) {
   trace::set_thread_name("serve-shard");
   std::unique_ptr<Reply> reply;
   while (replies_.pop(reply)) {
-    const Response resp = reply->future.get();
     Writer w;
-    encode(w, resp);
-    std::vector<std::uint8_t> body = w.take();
-    // Log converged, freshly computed answers: deadline-cut tunes stay
-    // out (same rule as the result cache), and hits are already logged
-    // from the run that computed them.
-    if (resp.ok() && !resp.cache_hit && converged(resp)) {
-      std::lock_guard<std::mutex> lock(snap_mu_);
-      if (const auto it = snap_index_.find(reply->key);
-          it != snap_index_.end()) {
-        snap_entries_[it->second].response = body;
-      } else if (snap_entries_.size() < cfg_.snapshot_capacity) {
-        snap_index_.emplace(reply->key, snap_entries_.size());
-        snap_entries_.push_back(SnapshotEntry{reply->request, body});
-      }
-    }
+    encode(w, reply->future.get());
     if (reply->begin_ns != 0 && trace::enabled()) {
       // The shard half of the cross-process lifecycle: same correlation
       // id as the router's "route" span, so a timeline viewer joins
@@ -140,44 +114,37 @@ void Worker::responder_loop(Channel& channel) {
       trace::emit_span("serve_dist", "shard", reply->begin_ns,
                        trace::now_ns(), reply->id);
     }
-    channel.send(Frame{MsgType::kReply, reply->id, std::move(body)});
+    channel.send(Frame{MsgType::kReply, reply->id, w.take()});
   }
 }
 
 CacheSnapshot Worker::snapshot() const {
-  std::lock_guard<std::mutex> lock(snap_mu_);
   CacheSnapshot snap;
-  snap.entries = snap_entries_;
+  for (const auto& [key, resp] : service_.cache_entries()) {
+    Writer w;
+    encode(w, *resp);
+    snap.entries.push_back(SnapshotEntry{key, w.take()});
+  }
   return snap;
 }
 
 std::uint64_t Worker::restore(const CacheSnapshot& snap) {
-  std::uint64_t restored = 0;
+  // Decode everything before warming anything: a snapshot is restored
+  // whole or not at all.
+  std::vector<Response> decoded;
+  decoded.reserve(snap.entries.size());
   for (const SnapshotEntry& e : snap.entries) {
-    Reader rq(e.request);
-    const WireRequest wire_req = decode_request(rq);
-    rq.expect_end();
-    Reader rr(e.response);
-    Response resp = decode_response(rr);
-    rr.expect_end();
-
-    const Request req = to_request(wire_req, catalog_);
-    service_.warm(req, std::move(resp));
-    // The compile misses paid here are exactly the snapshot's miss set;
-    // replaying the snapshot's keys afterwards compiles nothing.
-    service_.precompile(req);
-    {
-      std::lock_guard<std::mutex> lock(snap_mu_);
-      const CacheKey key = routing_key(wire_req);
-      if (snap_index_.find(key) == snap_index_.end() &&
-          snap_entries_.size() < cfg_.snapshot_capacity) {
-        snap_index_.emplace(key, snap_entries_.size());
-        snap_entries_.push_back(e);
-      }
+    Reader r(e.response);
+    decoded.push_back(decode_response(r));
+    r.expect_end();
+    if (!decoded.back().ok() || !converged(decoded.back())) {
+      throw WireError("CacheSnapshot: entry is not a cacheable answer");
     }
-    ++restored;
   }
-  return restored;
+  for (std::size_t i = 0; i < decoded.size(); ++i) {
+    service_.warm(snap.entries[i].key, std::move(decoded[i]));
+  }
+  return decoded.size();
 }
 
 }  // namespace harmony::serve

@@ -9,26 +9,23 @@
 // serve() never blocks the receive loop on an oracle: each kSubmit is
 // decoded, submitted to the Service (which answers cache hits
 // instantly and queues the rest), and handed with its future to a
-// small responder pool that waits, records the snapshot log, and sends
-// the kReply.  Replies therefore return in completion order, not
-// arrival order — the correlation id, not position, matches them up.
+// small responder pool that waits and sends the kReply.  Replies
+// therefore return in completion order, not arrival order — the
+// correlation id, not position, matches them up.
 //
-// The snapshot log retains the encoded (request, response) pair of
-// every *converged* non-hit answer, deduplicated by routing key.
-// snapshot()/restore() round-trip it so a restarted shard starts warm:
-// restore replays results into the result cache (Service::warm) and
-// recompiles each distinct tune triple once (Service::precompile) —
-// the snapshot's miss set, paid at restore time instead of as a
-// stampede when traffic returns.
+// The shard's warm state is its Service's result cache, and nothing
+// else: snapshot() encodes the cache's entries (Service::cache_entries)
+// and restore() puts them back by key (Service::warm), all or nothing.
+// A restore runs no catalog rebuild and no compile — replayed keys are
+// result-cache hits.  serve() rejects the in-process-only request
+// kinds, so a serving shard's cache only ever holds answers the
+// Response codec carries in full; anything cached through service()
+// directly is snapshotted in its wire form.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
+#include <future>
 #include <memory>
-#include <mutex>
-#include <thread>
-#include <unordered_map>
-#include <vector>
 
 #include "serve/catalog.hpp"
 #include "serve/service.hpp"
@@ -37,19 +34,9 @@
 
 namespace harmony::serve {
 
-struct WorkerConfig {
-  ServiceConfig service;
-  /// Responder threads waiting on Service futures and sending replies.
-  /// 2 keeps a slow tune from head-of-line-blocking a stream of cheap
-  /// cost evals without meaningfully adding threads.
-  unsigned responders = 2;
-  /// Snapshot-log entries retained (FIFO beyond; 0 disables logging).
-  std::size_t snapshot_capacity = 4096;
-};
-
 class Worker {
  public:
-  explicit Worker(WorkerConfig cfg = {});
+  explicit Worker(ServiceConfig cfg = {});
   ~Worker();
 
   Worker(const Worker&) = delete;
@@ -63,9 +50,11 @@ class Worker {
   /// The shard's semantic cache state (see file comment).
   [[nodiscard]] CacheSnapshot snapshot() const;
 
-  /// Replays a snapshot into this shard's caches; returns the number of
-  /// entries restored.  Also primes the local snapshot log, so a
-  /// restored shard re-snapshots what it knows.
+  /// Puts a snapshot's entries into this shard's result cache, in
+  /// snapshot order; returns the number restored.  Every response is
+  /// decoded (and must be an answer the cache would store: ok and
+  /// converged) before any is warmed, so a snapshot that throws
+  /// WireError leaves the cache untouched.
   std::uint64_t restore(const CacheSnapshot& snap);
 
   /// Direct access for in-process tests and benches.
@@ -76,8 +65,6 @@ class Worker {
   struct Reply {
     std::uint64_t id = 0;
     std::uint64_t begin_ns = 0;
-    CacheKey key;  ///< routing key (snapshot-log dedup)
-    std::vector<std::uint8_t> request;  ///< canonical encoding (QoS zeroed)
     /// The Service's answer, or an already-ready error reply when the
     /// frame failed to decode or convert before submit.
     std::future<Response> future;
@@ -85,14 +72,14 @@ class Worker {
 
   void responder_loop(Channel& channel);
 
-  WorkerConfig cfg_;
+  /// Responder threads waiting on Service futures and sending replies.
+  /// 2 keeps a slow tune from head-of-line-blocking a stream of cheap
+  /// cost evals without meaningfully adding threads.
+  static constexpr unsigned kResponders = 2;
+
   SpecCatalog catalog_;
   Service service_;
   BoundedQueue<std::unique_ptr<Reply>> replies_;
-
-  mutable std::mutex snap_mu_;
-  std::vector<SnapshotEntry> snap_entries_;
-  std::unordered_map<CacheKey, std::size_t, CacheKeyHash> snap_index_;
 };
 
 }  // namespace harmony::serve

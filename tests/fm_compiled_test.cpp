@@ -1,7 +1,7 @@
 // Compiled candidate evaluation (fm/compiled.hpp): bit-exact parity of
 // the flat fast path against the legacy FunctionSpec oracles and the
 // executing GridMachine ledger, the delivered-set key-packing overflow
-// regression, EvalContext reuse, and precompiled parallel search parity.
+// regression, EvalContext reuse, and pre-compiled parallel search parity.
 #include <gtest/gtest.h>
 
 #include <cstdint>

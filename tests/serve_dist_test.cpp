@@ -10,15 +10,23 @@
 //   * stolen requests return byte-identical semantic payloads;
 //   * drain completes with zero dropped or errored in-flight requests,
 //     and rejoin restores the exact pre-drain placement;
-//   * snapshot/restore warm-starts a fresh shard: replayed keys are
-//     cache hits and recompile nothing;
+//   * snapshot/restore warm-starts a fresh shard: the snapshot is the
+//     result cache (evicted and deadline-cut answers are absent), a
+//     restore re-snapshots byte for byte, compiles nothing, and is all
+//     or nothing; replayed keys are cache hits;
+//   * a shard that dies fails its pending asks, their coalesced
+//     followers and in-flight control RPCs within a bound — nothing
+//     waits forever;
 //   * fleet metrics are merged (counters summed, histograms added),
 //     not averaged;
 //   * hostile requests (unknown specs, in-process-only kinds, zero-extent
 //     maps) come back as kError and the shard keeps serving.
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
+#include <chrono>
 #include <cstdint>
 #include <future>
 #include <memory>
@@ -29,19 +37,22 @@
 #include "serve/catalog.hpp"
 #include "serve/router.hpp"
 #include "serve/service.hpp"
+#include "serve/snapshot.hpp"
 #include "serve/wire.hpp"
 #include "serve/worker.hpp"
 
 namespace harmony::serve {
 namespace {
 
+using namespace std::chrono_literals;
+
 constexpr Status kOk = Status::kOk;
 constexpr Status kError = Status::kError;
 constexpr Status kRejected = Status::kRejected;
 
-WorkerConfig small_worker() {
-  WorkerConfig cfg;
-  cfg.service.num_workers = 2;
+ServiceConfig small_worker() {
+  ServiceConfig cfg;
+  cfg.num_workers = 2;
   return cfg;
 }
 
@@ -343,6 +354,187 @@ TEST(ServeDist, SnapshotRestoreWarmStartsWithoutRecompiles) {
   EXPECT_EQ(after_replay.compile_misses, after_restore.compile_misses)
       << "replayed keys must not recompile";
   EXPECT_GE(after_replay.cache_hits, 2u);
+}
+
+TEST(ServeDist, CorruptSnapshotRestoresNothing) {
+  const WireRequest tune_a = tune_req("editdist:4x4", 4);
+  const WireRequest tune_b = tune_req("matmul:3", 4);
+
+  std::vector<std::uint8_t> good;
+  {
+    Fleet source(1);
+    ASSERT_EQ(source.router.call(tune_a).response.status, kOk);
+    ASSERT_EQ(source.router.call(tune_b).response.status, kOk);
+    good = source.router.snapshot_shard(0);
+  }
+  CacheSnapshot snap = decode_snapshot(good);
+  ASSERT_EQ(snap.entries.size(), 2u);
+  snap.entries[1].response.pop_back();  // truncate the second answer
+
+  Fleet restored(1);
+  EXPECT_EQ(restored.router.restore_shard(0, encode(snap)), 0u);
+  // All or nothing: the well-formed first entry was not warmed either.
+  EXPECT_TRUE(decode_snapshot(restored.router.snapshot_shard(0))
+                  .entries.empty());
+  for (const WireRequest& t : {tune_a, tune_b}) {
+    const Response r = restored.router.call(t).response;
+    ASSERT_EQ(r.status, kOk);
+    EXPECT_FALSE(r.cache_hit);
+  }
+}
+
+TEST(ServeDist, KillingAShardFailsEveryWaiterWithinABound) {
+  // The worker never starts, so the submit, its coalesced follower and
+  // the control RPC are all provably in flight when the shard dies.
+  Fleet fleet(1, RouterConfig{}, /*start=*/false);
+  const WireRequest wire = cost_req(6, 6, 2);
+  std::promise<RoutedReply> leader, follower;
+  fleet.router.submit(
+      wire, [&leader](const RoutedReply& r) { leader.set_value(r); });
+  fleet.router.submit(
+      wire, [&follower](const RoutedReply& r) { follower.set_value(r); });
+  ASSERT_EQ(fleet.router.stats().coalesced, 1u);
+
+  std::promise<std::string> rpc;
+  std::thread control([&] {
+    try {
+      (void)fleet.router.shard_metrics(0);
+      rpc.set_value("returned");
+    } catch (const WireError& e) {
+      rpc.set_value(std::string("WireError: ") + e.what());
+    }
+  });
+  std::this_thread::sleep_for(50ms);  // let the RPC reach its wait
+  fleet.channels[0]->close();         // the shard dies
+
+  std::future<RoutedReply> leader_f = leader.get_future();
+  std::future<RoutedReply> follower_f = follower.get_future();
+  std::future<std::string> rpc_f = rpc.get_future();
+  const auto bound = std::chrono::steady_clock::now() + 2s;
+  const bool leader_done =
+      leader_f.wait_until(bound) == std::future_status::ready;
+  const bool follower_done =
+      follower_f.wait_until(bound) == std::future_status::ready;
+  const bool rpc_done = rpc_f.wait_until(bound) == std::future_status::ready;
+  // Shutdown releases anything still hung, so a failure fails the test
+  // instead of hanging the suite.
+  fleet.router.shutdown();
+  control.join();
+
+  ASSERT_TRUE(leader_done) << "pending submit hung on a dead shard";
+  EXPECT_EQ(leader_f.get().response.status, kError);
+  ASSERT_TRUE(follower_done) << "coalesced follower hung on a dead shard";
+  EXPECT_EQ(follower_f.get().response.status, kError);
+  ASSERT_TRUE(rpc_done) << "control RPC hung on a dead shard";
+  EXPECT_EQ(rpc_f.get(), "WireError: Router::control: shard channel closed");
+}
+
+TEST(ServeDist, AsksAfterTheReaderStopsFailInsteadOfHanging) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  std::promise<RoutedReply> reply;
+  {
+    Router router;
+    router.add_shard("liar", channel_from_fd(fds[0]));
+    // A frame shorter than its own header: the router's reader rejects
+    // it and stops, while the shard's end of the socket stays open, so
+    // sends still succeed and nothing would ever answer them.
+    const std::uint32_t len = 0;
+    ASSERT_EQ(::write(fds[1], &len, sizeof len),
+              static_cast<ssize_t>(sizeof len));
+
+    std::promise<bool> rpc;
+    std::thread control([&] {
+      try {
+        (void)router.shard_metrics(0);
+        rpc.set_value(false);
+      } catch (const WireError&) {
+        rpc.set_value(true);
+      }
+    });
+    std::future<bool> rpc_f = rpc.get_future();
+    const bool rpc_done = rpc_f.wait_for(2s) == std::future_status::ready;
+    router.submit(cost_req(4, 4, 2),
+                  [&reply](const RoutedReply& r) { reply.set_value(r); });
+    std::future<RoutedReply> reply_f = reply.get_future();
+    const bool reply_done =
+        reply_f.wait_for(2s) == std::future_status::ready;
+    router.shutdown();
+    control.join();
+
+    ASSERT_TRUE(rpc_done) << "control RPC hung on a stopped reader";
+    EXPECT_TRUE(rpc_f.get());
+    ASSERT_TRUE(reply_done) << "submit hung on a stopped reader";
+    EXPECT_EQ(reply_f.get().response.status, kError);
+  }
+  ::close(fds[1]);
+}
+
+TEST(WorkerSnapshot, EvictedAnswerIsAbsent) {
+  ServiceConfig cfg = small_worker();
+  cfg.cache_capacity = 1;
+  cfg.cache_shards = 1;
+  Worker worker(cfg);
+  const Request a = to_request(cost_req(4, 4, 2), worker.catalog());
+  const Request b = to_request(cost_req(5, 5, 2), worker.catalog());
+  ASSERT_TRUE(worker.service().call(a).ok());
+  ASSERT_TRUE(worker.service().call(b).ok());  // LRU-evicts a
+
+  const CacheSnapshot snap = worker.snapshot();
+  ASSERT_EQ(snap.entries.size(), 1u);
+  EXPECT_EQ(snap.entries[0].key, make_cache_key(b));
+}
+
+TEST(WorkerSnapshot, DeadlineCutTuneIsAbsent) {
+  Worker worker(small_worker());
+  const Request cost = to_request(cost_req(4, 4, 2), worker.catalog());
+  Request cut = to_request(tune_req("editdist:4x4", 4), worker.catalog());
+  cut.deadline = 1ns;  // past its cutoff before the search starts
+  ASSERT_TRUE(worker.service().call(cost).ok());
+  const Response r = worker.service().call(cut);
+  ASSERT_TRUE(r.ok()) << r.error;
+  ASSERT_TRUE(r.deadline_cut);
+
+  const CacheSnapshot snap = worker.snapshot();
+  ASSERT_EQ(snap.entries.size(), 1u);
+  EXPECT_EQ(snap.entries[0].key, make_cache_key(cost));
+}
+
+TEST(WorkerSnapshot, RestoreThenSnapshotIsByteIdentical) {
+  Worker source(small_worker());
+  for (const WireRequest& wire :
+       {tune_req("editdist:4x4", 4), tune_req("matmul:3", 4),
+        cost_req(6, 6, 2)}) {
+    const Response r =
+        source.service().call(to_request(wire, source.catalog()));
+    ASSERT_TRUE(r.ok()) << r.error;
+  }
+  const CacheSnapshot snap = source.snapshot();
+  ASSERT_EQ(snap.entries.size(), 3u);
+
+  Worker fresh(small_worker());
+  EXPECT_EQ(fresh.restore(snap), 3u);
+  EXPECT_EQ(encode(fresh.snapshot()), encode(snap));
+  EXPECT_EQ(fresh.service().metrics().compile_misses, 0u)
+      << "a restore compiles nothing";
+}
+
+TEST(WorkerSnapshot, RestoreRejectsAnswersTheCacheNeverHolds) {
+  Worker worker(small_worker());
+  Response error;
+  error.status = kError;
+  error.error = "oracle threw";
+  Response cut;
+  cut.kind = RequestKind::kTune;
+  cut.search.exhausted = false;
+  for (const Response& bad : {error, cut}) {
+    Writer w;
+    encode(w, bad);
+    CacheSnapshot snap;
+    snap.entries.push_back(SnapshotEntry{CacheKey{1, 2}, w.take()});
+    EXPECT_THROW((void)worker.restore(snap), WireError);
+  }
+  EXPECT_TRUE(worker.snapshot().entries.empty());
 }
 
 TEST(ServeDist, FleetMetricsMergeCountersAndHistograms) {

@@ -177,7 +177,7 @@ TEST(ServeStress, MixedTrafficManyClientsTinyCache) {
 }
 
 TEST(ServeStress, CompileStampedeCoalescesToOneMiss) {
-  // Regression: compiled_for probes the compile cache under its lock
+  // Regression: the compile cache is probed under its lock
   // but compiles *outside* it, so concurrent misses on one compile key
   // used to each run fm::compile_spec and each record a miss.  In-flight
   // coalescing must collapse the stampede: one leader compiles, the

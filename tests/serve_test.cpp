@@ -173,16 +173,20 @@ TEST(CacheKey, CompileKeyCoarserThanResultKeyAndDomainSeparated) {
   Request b = a;
   b.fom = fm::FigureOfMerit::kEnergy;
   b.search.top_k = 9;
-  EXPECT_NE(make_cache_key(a), make_cache_key(b));      // results differ
-  EXPECT_EQ(make_compile_key(a), make_compile_key(b));  // tables shared
-  EXPECT_NE(make_compile_key(a), make_cache_key(a));    // tag separation
+  // Any resolved-home fingerprint the pipeline tuner reports.
+  constexpr std::uint64_t kHomes = 0x1234;
+  const auto key = [](const Request& r, std::uint64_t homes) {
+    return make_stage_compile_key(*r.spec, r.machine, homes);
+  };
+  EXPECT_NE(make_cache_key(a), make_cache_key(b));  // results differ
+  EXPECT_EQ(key(a, kHomes), key(b, kHomes));        // tables shared
+  EXPECT_NE(key(a, kHomes), make_cache_key(a));     // tag separation
+  EXPECT_NE(key(b, kHomes), make_cache_key(b));
 
   Request c = a;
   c.machine = fm::make_machine(4, 1);
-  EXPECT_NE(make_compile_key(c), make_compile_key(a));
-  Request d = a;
-  d.inputs = {InputPlacement::dram(), InputPlacement::at({0, 0})};
-  EXPECT_NE(make_compile_key(d), make_compile_key(a));
+  EXPECT_NE(key(c, kHomes), key(a, kHomes));
+  EXPECT_NE(key(a, kHomes + 1), key(a, kHomes));  // other input homes
 }
 
 TEST(CacheKey, StableAcrossIndependentSpecBuilds) {
@@ -485,6 +489,57 @@ TEST(Service, CompileCacheSharesTablesAcrossTunes) {
   const MetricsSnapshot snap = svc.metrics();
   EXPECT_EQ(snap.compile_misses, 1u);  // ...but the compiled tables hit
   EXPECT_EQ(snap.compile_hits, 1u);
+}
+
+TEST(Service, TuneAndOneStagePipelineTuneShareACompile) {
+  ServiceConfig cfg;
+  cfg.num_workers = 2;
+  Service svc(cfg);
+
+  Request tune = editdist_cost_request(8, 8);
+  tune.kind = RequestKind::kTune;
+  const Response r1 = svc.call(tune);
+  ASSERT_TRUE(r1.ok()) << r1.error;
+
+  // The same spec, machine and input homes as a one-stage pipeline: a
+  // different result key, the same compile key.
+  fm::Pipeline pipe;
+  pipe.add_stage(fm::PipelineStage{
+      "tune",
+      tune.spec,
+      {fm::StageInput::external(fm::InputHome::at({0, 0})),
+       fm::StageInput::external(fm::InputHome::at({0, 0}))}});
+  Request chain;
+  chain.kind = RequestKind::kPipelineTune;
+  chain.pipeline = std::make_shared<const fm::Pipeline>(std::move(pipe));
+  chain.machine = tune.machine;
+  const Response r2 = svc.call(chain);
+  ASSERT_TRUE(r2.ok()) << r2.error;
+  EXPECT_FALSE(r2.cache_hit);
+  ASSERT_TRUE(r2.pipeline.found);
+  EXPECT_EQ(r2.pipeline.stages[0].cost.makespan_cycles,
+            r1.cost.makespan_cycles);
+
+  const MetricsSnapshot snap = svc.metrics();
+  EXPECT_EQ(snap.compile_misses, 1u);
+  EXPECT_EQ(snap.compile_hits, 1u);
+}
+
+TEST(Service, TunesDifferingOnlyInInputHomesCompileTwice) {
+  ServiceConfig cfg;
+  cfg.num_workers = 2;
+  Service svc(cfg);
+
+  Request req = editdist_cost_request(8, 8);
+  req.kind = RequestKind::kTune;
+  ASSERT_TRUE(svc.call(req).ok());
+  Request moved = req;
+  moved.inputs = {InputPlacement::dram(), InputPlacement::at({0, 0})};
+  ASSERT_TRUE(svc.call(moved).ok());
+
+  const MetricsSnapshot snap = svc.metrics();
+  EXPECT_EQ(snap.compile_misses, 2u);
+  EXPECT_EQ(snap.compile_hits, 0u);
 }
 
 TEST(Service, ParallelTuneMatchesSerialAndRecordsWorkerMetrics) {

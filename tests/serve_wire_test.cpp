@@ -468,21 +468,28 @@ TEST(SemanticBytes, IgnoresDeliveryMetadataOnly) {
 
 TEST(Snapshot, RoundTripsAndChecksVersion) {
   CacheSnapshot snap;
-  snap.entries.push_back(SnapshotEntry{{1, 2, 3}, {4, 5}});
-  snap.entries.push_back(SnapshotEntry{{9}, {}});
+  snap.entries.push_back(SnapshotEntry{CacheKey{0x0102, 0x0304}, {4, 5}});
+  snap.entries.push_back(SnapshotEntry{CacheKey{9, ~0ULL}, {}});
   const std::vector<std::uint8_t> bytes = encode(snap);
+  // [u32 version][u32 count], then per entry [u64 hi][u64 lo][bytes].
+  EXPECT_EQ(bytes.size(), 4u + 4u + (8u + 8u + 4u + 2u) + (8u + 8u + 4u));
   const CacheSnapshot back = decode_snapshot(bytes);
   ASSERT_EQ(back.entries.size(), 2u);
-  EXPECT_EQ(back.entries[0].request, (std::vector<std::uint8_t>{1, 2, 3}));
+  EXPECT_EQ(back.entries[0].key, (CacheKey{0x0102, 0x0304}));
   EXPECT_EQ(back.entries[0].response, (std::vector<std::uint8_t>{4, 5}));
+  EXPECT_EQ(back.entries[1].key, (CacheKey{9, ~0ULL}));
   EXPECT_EQ(back.entries[1].response, std::vector<std::uint8_t>{});
+  EXPECT_EQ(encode(back), bytes);
 
   std::vector<std::uint8_t> skewed = bytes;
   skewed[0] = 0xfe;  // version byte
   EXPECT_THROW((void)decode_snapshot(skewed), WireError);
-  // Version 1 snapshots carried replies with the router's delivery tail;
-  // they are rejected rather than misparsed.
+  // Version 1 snapshots carried replies with the router's delivery tail,
+  // and version 2 keyed entries by encoded request instead of cache
+  // key; both are rejected rather than misparsed.
   skewed[0] = 1;
+  EXPECT_THROW((void)decode_snapshot(skewed), WireError);
+  skewed[0] = 2;
   EXPECT_THROW((void)decode_snapshot(skewed), WireError);
 }
 
@@ -543,14 +550,13 @@ TEST(CorruptInput, ResponseDecoderReturnsOrThrowsWireError) {
 
 TEST(CorruptInput, SnapshotDecoderReturnsOrThrowsWireError) {
   CacheSnapshot snap;
-  snap.entries.push_back(
-      SnapshotEntry{encoded(sample_request()), encoded(sample_response())});
+  snap.entries.push_back(SnapshotEntry{CacheKey{0x0bad5eed, 0xfeedface},
+                                       encoded(sample_response())});
   // Decode the container and then its entries, as Worker::restore does.
   sweep_corruptions(encode(snap), "snapshot",
                     [](const std::vector<std::uint8_t>& bytes) {
                       for (const SnapshotEntry& e :
                            decode_snapshot(bytes).entries) {
-                        decode_whole_request(e.request);
                         decode_whole_response(e.response);
                       }
                     });
@@ -670,7 +676,11 @@ TEST(SpecCatalog, RebuildAgreesOnCacheKeyAcrossTheWire) {
   const Request shard_view = to_request(off_the_wire, shard_catalog);
 
   EXPECT_EQ(make_cache_key(router_view), make_cache_key(shard_view));
-  EXPECT_EQ(make_compile_key(router_view), make_compile_key(shard_view));
+  constexpr std::uint64_t kHomes = 0x5eed;  // any resolved-home fingerprint
+  EXPECT_EQ(make_stage_compile_key(*router_view.spec, router_view.machine,
+                                   kHomes),
+            make_stage_compile_key(*shard_view.spec, shard_view.machine,
+                                   kHomes));
 }
 
 TEST(SpecCatalog, AllFamiliesBuildAndMemoize) {
