@@ -27,9 +27,9 @@
 // legality gate.  Its diagnostics merge into the output and exit code.
 //
 // --pipeline=<scenario> switches to multi-kernel mode: it tunes one of
-// the canned stage DAGs (fft:N | scanchain:N | diamond:N with the
-// exhaustive affine searcher; irregular:N,FANIN,SEED with the anneal
-// strategy) end to end via fm::tune_pipeline_paired (--tuner=greedy for
+// the serve::SpecCatalog pipelines (fft:N | scanchain:N | diamond:N
+// with the exhaustive affine searcher; irregular:N,FANIN,SEED with the
+// anneal strategy) end to end via fm::tune_pipeline_paired (--tuner=greedy for
 // the stage-by-stage baseline), then certifies every committed stage
 // winner — with its *resolved* input homes, i.e. the producer-fixed
 // distributed layouts the tuner actually priced the handoffs against —
@@ -47,7 +47,6 @@
 #include <utility>
 #include <vector>
 
-#include "algos/pipelines.hpp"
 #include "analyze/exec.hpp"
 #include "analyze/lint.hpp"
 #include "fm/compiled.hpp"
@@ -169,47 +168,31 @@ Args parse_args(int argc, char** argv) {
 /// DAGs end to end, then lint + exec-check every committed stage winner
 /// against its resolved (producer-substituted) input homes.  Exit codes
 /// match single-spec mode: 0 clean, 1 warnings, 2 errors / no mapping.
-int run_pipeline(const Args& args, const harmony::fm::MachineConfig& machine,
-                 const char* argv0) {
+int run_pipeline(const Args& args, const harmony::fm::MachineConfig& machine) {
   namespace fm = harmony::fm;
-  namespace algos = harmony::algos;
   namespace analyze = harmony::analyze;
 
-  const std::size_t colon = args.pipeline.find(':');
-  if (colon == std::string::npos) usage(argv0);
-  const std::string family = args.pipeline.substr(0, colon);
-  const auto dims = split_ints(args.pipeline.substr(colon + 1), ',',
-                               "--pipeline=" + args.pipeline);
-
-  fm::Pipeline pipe;
+  // One pipeline-name grammar: the wire tier's catalog.
+  std::shared_ptr<const fm::Pipeline> pipe_ptr;
   fm::PipelineOptions opts;
   fm::PipelineResult result;
   try {
-    if (family == "fft" && dims.size() == 1) {
-      pipe = algos::fft_shuffle_fft_pipeline(dims[0]);
-    } else if (family == "scanchain" && dims.size() == 1) {
-      pipe = algos::scan_filter_scan_pipeline(dims[0]);
-    } else if (family == "diamond" && dims.size() == 1) {
-      pipe = algos::diamond_pipeline(dims[0]);
-    } else if (family == "irregular" && dims.size() == 3) {
-      pipe = algos::irregular_chain_pipeline(
-          dims[0], static_cast<int>(dims[1]),
-          static_cast<std::uint64_t>(dims[2]));
+    pipe_ptr = harmony::serve::SpecCatalog().pipeline(args.pipeline);
+    if (args.pipeline.rfind("irregular:", 0) == 0) {
       // Irregular dependence defeats the affine family; tune the chain
       // with the anneal strategy on a modest, deterministic budget.
       opts.strategy = fm::StrategyKind::kAnneal;
       opts.strategy_opts.chains = 2;
       opts.strategy_opts.epochs = 12;
       opts.strategy_opts.iters_per_epoch = 96;
-    } else {
-      usage(argv0);
     }
-    result = args.paired ? fm::tune_pipeline_paired(pipe, machine, opts)
-                         : fm::tune_pipeline_greedy(pipe, machine, opts);
+    result = args.paired ? fm::tune_pipeline_paired(*pipe_ptr, machine, opts)
+                         : fm::tune_pipeline_greedy(*pipe_ptr, machine, opts);
   } catch (const std::exception& e) {
     std::cerr << "harmony-lint: --pipeline: " << e.what() << "\n";
     return 2;
   }
+  const fm::Pipeline& pipe = *pipe_ptr;
   if (!result.found) {
     std::cerr << "harmony-lint: --pipeline=" << args.pipeline << " on "
               << args.machine << ": no legal mapping for every stage\n";
@@ -306,7 +289,7 @@ int main(int argc, char** argv) {
   if (args.link_bits) machine.link_bits_per_cycle = *args.link_bits;
 
   // ---- multi-kernel mode ---------------------------------------------
-  if (!args.pipeline.empty()) return run_pipeline(args, machine, argv[0]);
+  if (!args.pipeline.empty()) return run_pipeline(args, machine);
 
   // ---- spec ----------------------------------------------------------
   // One spec-name grammar: the wire tier's catalog.

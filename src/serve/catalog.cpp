@@ -2,28 +2,41 @@
 
 #include <charconv>
 #include <cstdint>
+#include <initializer_list>
 #include <utility>
 #include <vector>
 
 #include "algos/editdist.hpp"
 #include "algos/matmul.hpp"
+#include "algos/pipelines.hpp"
 #include "algos/specs.hpp"
+#include "support/error.hpp"
 
 namespace harmony::serve {
 namespace {
 
-/// Splits "a,b,c" / "AxB" style dimension lists.  Throws on anything
-/// that is not a plain decimal integer — catalog names come off the
-/// wire, so parsing must be as strict as the frame decoder.
-std::vector<std::int64_t> parse_dims(const std::string& s, char sep,
-                                     const std::string& name) {
+/// A name split into its family and its dimension list ("a,b,c" or
+/// "AxB").  Throws on anything that is not a plain decimal integer —
+/// names come off the wire, so parsing is as strict as the frame
+/// decoder.
+struct ParsedName {
+  std::string family;
   std::vector<std::int64_t> dims;
+};
+
+ParsedName parse(const std::string& name) {
+  const std::size_t colon = name.find(':');
+  if (colon == std::string::npos || colon + 1 >= name.size()) {
+    throw WireError("SpecCatalog: malformed name '" + name + "'");
+  }
+  ParsedName out{name.substr(0, colon), {}};
+  const std::string rest = name.substr(colon + 1);
+  const char sep = out.family == "editdist" ? 'x' : ',';
   std::size_t pos = 0;
-  while (pos <= s.size()) {
-    const std::size_t next = s.find(sep, pos);
-    const std::string tok =
-        s.substr(pos, next == std::string::npos ? std::string::npos
-                                                : next - pos);
+  while (true) {
+    const std::size_t next = rest.find(sep, pos);
+    const std::string tok = rest.substr(
+        pos, next == std::string::npos ? std::string::npos : next - pos);
     std::int64_t v = 0;
     const char* end = tok.data() + tok.size();
     const auto [ptr, ec] = std::from_chars(tok.data(), end, v);
@@ -33,111 +46,145 @@ std::vector<std::int64_t> parse_dims(const std::string& s, char sep,
       throw WireError("SpecCatalog: bad dimension '" + tok + "' in '" +
                       name + "'");
     }
-    dims.push_back(v);
-    if (next == std::string::npos) break;
+    out.dims.push_back(v);
+    if (next == std::string::npos) return out;
     pos = next + 1;
   }
-  return dims;
 }
 
-std::shared_ptr<const fm::FunctionSpec> build(const std::string& name) {
-  const std::size_t colon = name.find(':');
-  if (colon == std::string::npos || colon + 1 >= name.size()) {
-    throw WireError("SpecCatalog: malformed spec name '" + name + "'");
+/// Requires `arity` dimensions, every extent >= 1, and their product
+/// within kMaxNamePoints; `extents` lists which dims are extents
+/// (indices into dims, repeated where a dim counts more than once).
+void check_shape(const std::string& name, const ParsedName& p,
+                 std::size_t arity, std::initializer_list<std::size_t> extents,
+                 const char* grammar) {
+  if (p.dims.size() != arity) {
+    throw WireError("SpecCatalog: " + p.family + " wants " + grammar +
+                    ": '" + name + "'");
   }
-  const std::string family = name.substr(0, colon);
-  const std::string rest = name.substr(colon + 1);
-  if (family == "editdist") {
-    const auto dims = parse_dims(rest, 'x', name);
-    if (dims.size() != 2) {
-      throw WireError("SpecCatalog: editdist wants NxM: '" + name + "'");
+  std::int64_t points = 1;
+  for (const std::size_t d : extents) {
+    const std::int64_t e = p.dims[d];
+    if (e < 1) {
+      throw WireError("SpecCatalog: zero extent in '" + name + "'");
     }
+    if (e > kMaxNamePoints / points) {
+      throw WireError("SpecCatalog: '" + name + "' asks for more than " +
+                      std::to_string(kMaxNamePoints) + " points");
+    }
+    points *= e;
+  }
+}
+
+std::shared_ptr<const fm::FunctionSpec> build_spec(const std::string& name) {
+  const ParsedName p = parse(name);
+  const auto& d = p.dims;
+  if (p.family == "editdist") {
+    check_shape(name, p, 2, {0, 1}, "NxM");
     return std::make_shared<const fm::FunctionSpec>(
-        algos::editdist_spec(dims[0], dims[1], algos::SwScores{}));
+        algos::editdist_spec(d[0], d[1], algos::SwScores{}));
   }
-  if (family == "stencil") {
-    const auto dims = parse_dims(rest, ',', name);
-    if (dims.size() != 2) {
-      throw WireError("SpecCatalog: stencil wants N,STEPS: '" + name + "'");
-    }
+  if (p.family == "stencil") {
+    check_shape(name, p, 2, {0, 1}, "N,STEPS");
     return std::make_shared<const fm::FunctionSpec>(
-        algos::stencil1d_spec(dims[0], dims[1]));
+        algos::stencil1d_spec(d[0], d[1]));
   }
-  if (family == "conv") {
-    const auto dims = parse_dims(rest, ',', name);
-    if (dims.size() != 2) {
-      throw WireError("SpecCatalog: conv wants N,K: '" + name + "'");
-    }
+  if (p.family == "conv") {
+    check_shape(name, p, 2, {0, 1}, "N,K");
     return std::make_shared<const fm::FunctionSpec>(
-        algos::conv1d_spec(dims[0], dims[1]));
+        algos::conv1d_spec(d[0], d[1]));
   }
-  if (family == "matmul") {
-    const auto dims = parse_dims(rest, ',', name);
-    if (dims.size() != 1) {
-      throw WireError("SpecCatalog: matmul wants N: '" + name + "'");
-    }
-    return std::make_shared<const fm::FunctionSpec>(
-        algos::matmul_spec(dims[0]));
+  if (p.family == "matmul") {
+    check_shape(name, p, 1, {0, 0, 0}, "N");
+    return std::make_shared<const fm::FunctionSpec>(algos::matmul_spec(d[0]));
   }
-  if (family == "irregular") {
-    const auto dims = parse_dims(rest, ',', name);
-    if (dims.size() != 3) {
-      throw WireError("SpecCatalog: irregular wants N,FANIN,SEED: '" +
-                      name + "'");
-    }
+  if (p.family == "irregular") {
+    // FANIN is bounded by the budget, so the int cast cannot wrap.
+    check_shape(name, p, 3, {0, 1}, "N,FANIN,SEED");
     return std::make_shared<const fm::FunctionSpec>(algos::irregular_dag_spec(
-        dims[0], static_cast<int>(dims[1]),
-        static_cast<std::uint64_t>(dims[2])));
+        d[0], static_cast<int>(d[1]), static_cast<std::uint64_t>(d[2])));
   }
-  throw WireError("SpecCatalog: unknown spec family '" + family + "'");
+  throw WireError("SpecCatalog: unknown spec family '" + p.family + "'");
+}
+
+std::shared_ptr<const fm::Pipeline> build_pipeline(const std::string& name) {
+  const ParsedName p = parse(name);
+  const auto& d = p.dims;
+  if (p.family == "fft") {
+    check_shape(name, p, 1, {0}, "N");
+    return std::make_shared<const fm::Pipeline>(
+        algos::fft_shuffle_fft_pipeline(d[0]));
+  }
+  if (p.family == "scanchain") {
+    check_shape(name, p, 1, {0}, "N");
+    return std::make_shared<const fm::Pipeline>(
+        algos::scan_filter_scan_pipeline(d[0]));
+  }
+  if (p.family == "diamond") {
+    check_shape(name, p, 1, {0}, "N");
+    return std::make_shared<const fm::Pipeline>(algos::diamond_pipeline(d[0]));
+  }
+  if (p.family == "irregular") {
+    check_shape(name, p, 3, {0, 1}, "N,FANIN,SEED");
+    return std::make_shared<const fm::Pipeline>(
+        algos::irregular_chain_pipeline(d[0], static_cast<int>(d[1]),
+                                        static_cast<std::uint64_t>(d[2])));
+  }
+  throw WireError("SpecCatalog: unknown pipeline family '" + p.family + "'");
 }
 
 }  // namespace
 
-std::shared_ptr<const fm::FunctionSpec> SpecCatalog::spec(
-    const std::string& name) {
+template <typename T>
+std::shared_ptr<const T> SpecCatalog::memoize(
+    ByName<T>& built, const std::string& name,
+    std::shared_ptr<const T> (*build)(const std::string&)) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = specs_.find(name);
-    if (it != specs_.end()) return it->second;
+    if (const auto it = built.find(name); it != built.end()) return it->second;
   }
-  // Build outside the lock (irregular DAGs can be sizable); last writer
-  // wins on a race, and both builds are identical by determinism.
-  std::shared_ptr<const fm::FunctionSpec> spec = build(name);
+  // Build outside the lock (irregular DAGs can be sizable).  A builder's
+  // own shape check (fft wants a power of two) is a bad name too.
+  std::shared_ptr<const T> object;
+  try {
+    object = build(name);
+  } catch (const InvalidArgument& e) {
+    throw WireError("SpecCatalog: '" + name + "': " + e.what());
+  }
+  // On a race the first insert wins; both builds are identical by
+  // determinism, and only the kept one is ever named.
   std::lock_guard<std::mutex> lock(mu_);
-  return specs_.emplace(name, std::move(spec)).first->second;
+  const auto [it, inserted] = built.emplace(name, std::move(object));
+  if (inserted) names_.emplace(it->second.get(), name);
+  return it->second;
 }
 
-Request to_request(const WireRequest& wire, SpecCatalog& catalog) {
-  Request req;
-  req.kind = wire.kind;
-  req.spec = catalog.spec(wire.spec);
-  req.machine = fm::make_machine(static_cast<int>(wire.machine_cols),
-                                 static_cast<int>(wire.machine_rows));
-  req.machine.cycle = Time::picoseconds(wire.cycle_ps);
-  req.machine.pe_capacity_values = wire.pe_capacity_values;
-  req.machine.link_bits_per_cycle = wire.link_bits_per_cycle;
-  req.machine.local_access_pitch_fraction = wire.local_access_pitch_fraction;
-  req.fom = wire.fom;
-  req.inputs = wire.inputs;
-  req.map = wire.map;
-  req.verify.check_storage = wire.check_storage;
-  req.verify.check_bandwidth = wire.check_bandwidth;
-  req.verify.max_messages = wire.max_messages;
-  if (!wire.time_coeffs.empty()) req.search.space.time_coeffs = wire.time_coeffs;
-  if (!wire.space_coeffs.empty()) {
-    req.search.space.space_coeffs = wire.space_coeffs;
+std::shared_ptr<const fm::FunctionSpec> SpecCatalog::spec(
+    const std::string& name) {
+  return memoize(specs_, name, &build_spec);
+}
+
+std::shared_ptr<const fm::Pipeline> SpecCatalog::pipeline(
+    const std::string& name) {
+  return memoize(pipelines_, name, &build_pipeline);
+}
+
+std::string SpecCatalog::lookup(const void* object, const char* what) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = names_.find(object);
+  if (it == names_.end()) {
+    throw WireError(std::string("SpecCatalog: ") + what +
+                    " was not built by this catalog");
   }
-  req.search.space.search_y = wire.search_y;
-  req.search.fom = wire.fom;
-  req.search.verify = req.verify;
-  req.search.quick_sample = wire.quick_sample;
-  req.search.makespan_slack = wire.makespan_slack;
-  req.search.top_k = wire.top_k;
-  req.strategy = fm::StrategyKind::kExhaustive;
-  req.tune_workers = wire.tune_workers;
-  req.deadline = std::chrono::nanoseconds(wire.deadline_ns);
-  return req;
+  return it->second;
+}
+
+std::string SpecCatalog::name_of(const fm::FunctionSpec& spec) const {
+  return lookup(&spec, "spec");
+}
+
+std::string SpecCatalog::name_of(const fm::Pipeline& pipe) const {
+  return lookup(&pipe, "pipeline");
 }
 
 }  // namespace harmony::serve

@@ -59,7 +59,7 @@ class Fingerprint {
 
 // Bump when the mix order or field set below changes, so stale
 // serialized keys (if anyone persists them) can never alias.
-constexpr std::uint64_t kKeySchema = 1;
+constexpr std::uint64_t kKeySchema = 2;
 
 void mix_point(Fingerprint& fp, const fm::Point& p) {
   fp.mix(p.i);
@@ -262,6 +262,9 @@ CacheKey make_cache_key(const Request& req) {
     case RequestKind::kLegality:
       mix_affine(fp, req.map);
       mix_verify(fp, req.verify);
+      // The diagnostic cap shapes a legality reply (a tune's legality
+      // gate only counts, so mix_verify leaves it out).
+      fp.mix(static_cast<std::uint64_t>(req.verify.max_messages));
       break;
     case RequestKind::kTune:
       fp.mix(static_cast<std::uint64_t>(req.strategy));

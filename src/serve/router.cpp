@@ -32,28 +32,45 @@ std::size_t Router::num_shards() const {
   return shards_.size();
 }
 
-void Router::submit(const WireRequest& req, Callback on_reply) {
-  const CacheKey key = routing_key(req);
-  Writer w;
-  encode(w, req);
-  std::vector<std::uint8_t> body = w.take();
+void Router::submit(const Request& req, Callback on_reply) {
+  // The routing key is the result-cache key, so a shard's affinity is
+  // exactly the answers its cache holds; QoS fields (deadline,
+  // tune_workers) are outside it, so patience never migrates a key.
+  CacheKey key;
+  std::vector<std::uint8_t> body;
+  RoutedReply refused;
+  try {
+    Writer w;
+    encode(w, req, catalog_);
+    body = w.take();
+    key = make_cache_key(req);
+  } catch (const std::exception& e) {
+    refused.response.status = Status::kError;
+    refused.response.kind = req.kind;
+    refused.response.error = e.what();
+    on_reply(refused);
+    return;
+  }
 
   std::uint64_t id = 0;
   std::shared_ptr<Channel> channel;
   bool dead = false;
   {
-    std::lock_guard<std::mutex> lock(mu_);
+    std::unique_lock<std::mutex> lock(mu_);
     if (shutdown_ || shards_.empty()) {
-      RoutedReply r;
-      r.response.status = Status::kRejected;
-      r.response.error = shards_.empty() ? "router has no shards"
-                                         : "router shutting down";
-      on_reply(r);
+      refused.response.status = Status::kRejected;
+      refused.response.kind = req.kind;
+      refused.response.error = shards_.empty() ? "router has no shards"
+                                               : "router shutting down";
+      // Outside the lock, like finish_ask: a callback that calls back
+      // into the router must not deadlock.
+      lock.unlock();
+      on_reply(refused);
       return;
     }
     // Coalesce: attach to an identical in-flight ask.  Deadline-carrying
     // requests opt out — their reply is shaped by the leader's budget.
-    const bool coalesceable = cfg_.coalesce && req.deadline_ns == 0;
+    const bool coalesceable = cfg_.coalesce && req.deadline.count() == 0;
     if (coalesceable) {
       if (const auto it = inflight_.find(key); it != inflight_.end()) {
         pending_[it->second].waiters.push_back(std::move(on_reply));
@@ -110,7 +127,7 @@ void Router::submit(const WireRequest& req, Callback on_reply) {
   }
 }
 
-RoutedReply Router::call(const WireRequest& req) {
+RoutedReply Router::call(const Request& req) {
   std::promise<RoutedReply> done;
   std::future<RoutedReply> fut = done.get_future();
   submit(req, [&done](const RoutedReply& r) { done.set_value(r); });

@@ -1,16 +1,19 @@
 // Router front of the distributed serve tier (DESIGN.md §17).
 //
-// The router owns the consistent-hash ring and a Channel per worker
-// shard.  submit() hashes the request's routing key to its *affinity*
-// shard — the shard whose result and CompiledSpec caches have answered
-// this key before — and sends one kSubmit frame; a per-shard reader
-// thread matches kReply frames back to waiters by correlation id.
+// The router owns the consistent-hash ring, a Channel per worker shard,
+// and the SpecCatalog its clients build specs and pipelines from (a
+// request crosses the wire by the catalog's names).  submit() hashes
+// the request's make_cache_key to its *affinity* shard — the shard
+// whose result and CompiledSpec caches have answered this key before —
+// and sends one kSubmit frame; a per-shard reader thread matches kReply
+// frames back to waiters by correlation id.
 //
 // Hot keys get two defenses:
-//   * duplicate coalescing — a request whose key is already in flight
-//     attaches to the leader's reply instead of re-asking the shard
-//     (deadline-carrying requests opt out, exactly like the Service's
-//     batch dedup: different patience deserves a different frontier);
+//   * duplicate coalescing — a request whose cache key is already in
+//     flight attaches to the leader's reply instead of re-asking the
+//     shard (only requests with deadline == 0 coalesce, exactly like the
+//     Service's batch dedup: different patience deserves a different
+//     frontier);
 //   * overflow stealing — when the affinity shard's outstanding count
 //     exceeds the least-loaded active shard's by steal_margin, the
 //     request routes to the least-loaded shard instead.  The stolen
@@ -36,6 +39,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "serve/catalog.hpp"
 #include "serve/metrics.hpp"
 #include "serve/ring.hpp"
 #include "serve/snapshot.hpp"
@@ -88,11 +92,19 @@ class Router {
 
   /// Routes one request; `on_reply` runs on the shard's reader thread
   /// when the reply arrives (keep it cheap — the open-loop bench
-  /// records a timestamp and returns).
-  void submit(const WireRequest& req, Callback on_reply);
+  /// records a timestamp and returns).  The request's spec or pipeline
+  /// must come from catalog(); a request that cannot cross the wire
+  /// (encode throws WireError) is answered kError, and one the router
+  /// cannot route (shutdown, no shards) kRejected — both on the calling
+  /// thread, outside the router's lock, so the callback may call back
+  /// into the router.
+  void submit(const Request& req, Callback on_reply);
 
   /// submit() + wait.
-  [[nodiscard]] RoutedReply call(const WireRequest& req);
+  [[nodiscard]] RoutedReply call(const Request& req);
+
+  /// Where clients get the specs and pipelines they submit.
+  [[nodiscard]] SpecCatalog& catalog() { return catalog_; }
 
   /// Stops routing to `shard` and blocks until its in-flight requests
   /// have all been answered.  Zero requests are dropped or errored by
@@ -150,6 +162,7 @@ class Router {
                               MsgType want_type);
 
   RouterConfig cfg_;
+  SpecCatalog catalog_;
   mutable std::mutex mu_;
   std::condition_variable drain_cv_;
   HashRing ring_;

@@ -34,9 +34,9 @@ struct SnapshotEntry {
 };
 
 struct CacheSnapshot {
-  /// 3: entries are (cache key, response) — the result cache itself —
-  /// instead of (encoded request, response) pairs.
-  static constexpr std::uint32_t kVersion = 3;
+  /// 4: responses carry the stochastic (strategy) and pipeline tiers,
+  /// which a version-3 entry would restore as empty defaults.
+  static constexpr std::uint32_t kVersion = 4;
   std::vector<SnapshotEntry> entries;
 };
 

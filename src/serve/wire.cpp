@@ -6,9 +6,13 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <cmath>
 #include <condition_variable>
 #include <deque>
+#include <limits>
 #include <mutex>
+
+#include "serve/catalog.hpp"
 
 namespace harmony::serve {
 
@@ -203,9 +207,9 @@ void encode_search(Writer& w, const fm::SearchResult& s) {
   w.u32(s.workers_used);
 }
 
-/// `cost` is the already-decoded Response::cost, which is the best
-/// candidate's cost (Response::cost doc); only its makespan crosses
-/// separately.
+/// `cost` is the already-decoded enclosing cost (Response::cost, or a
+/// pipeline stage's StageResult::cost), which is the best candidate's
+/// cost; only its makespan crosses separately.
 fm::SearchResult decode_search(Reader& r, const fm::CostReport& cost) {
   fm::SearchResult s;
   s.found = r.b();
@@ -224,79 +228,461 @@ fm::SearchResult decode_search(Reader& r, const fm::CostReport& cost) {
   return s;
 }
 
+// --- checked reads, and the request payload -------------------------
+
+/// Reads an enum byte, rejecting anything past its last enumerator.
+std::uint8_t read_enum(Reader& r, std::uint8_t last, const char* what) {
+  const std::uint8_t v = r.u8();
+  if (v > last) throw WireError(std::string("Request: bad ") + what);
+  return v;
+}
+
+/// An i64 that must fit an int, so re-encoding stays canonical.
+int read_int(Reader& r, const char* what) {
+  const std::int64_t v = r.i64();
+  if (v < std::numeric_limits<int>::min() ||
+      v > std::numeric_limits<int>::max()) {
+    throw WireError(std::string("Request: ") + what + " out of range");
+  }
+  return static_cast<int>(v);
+}
+
+/// No oracle is defined on NaN or infinity.
+double read_finite(Reader& r, const char* what) {
+  const double v = r.f64();
+  if (!std::isfinite(v)) {
+    throw WireError(std::string("Request: ") + what + " is not finite");
+  }
+  return v;
+}
+
+/// A u32 element count whose elements take at least `min_bytes` each:
+/// a count the rest of the frame cannot hold is corruption, never an
+/// allocation request.
+std::uint32_t read_count(Reader& r, std::size_t min_bytes, const char* what) {
+  const std::uint32_t n = r.u32();
+  if (static_cast<std::size_t>(n) * min_bytes > r.remaining()) {
+    throw WireError(std::string(what) + ": count exceeds frame");
+  }
+  return n;
+}
+
+// Every machine field make_cache_key reads (mix_machine), same order.
+void encode_machine(Writer& w, const fm::MachineConfig& m) {
+  w.i64(m.geom.cols());
+  w.i64(m.geom.rows());
+  w.f64(m.geom.pitch().millimetres());
+  w.u8(static_cast<std::uint8_t>(m.geom.topology()));
+  const noc::TechnologyModel& t = m.geom.tech();
+  w.f64(t.add_energy_per_bit_fj);
+  w.f64(t.add_delay.picoseconds());
+  w.f64(t.wire_energy_per_bit_mm_fj);
+  w.f64(t.wire_delay_per_mm.picoseconds());
+  w.f64(t.sram_cell_energy_per_bit_fj);
+  w.f64(t.sram_cell_delay.picoseconds());
+  w.f64(t.offchip_multiplier);
+  w.f64(t.offchip_latency.picoseconds());
+  w.f64(t.instruction_overhead_factor);
+  w.f64(t.die.mm2());
+  w.f64(m.cycle.picoseconds());
+  w.i64(m.pe_capacity_values);
+  w.f64(m.link_bits_per_cycle);
+  w.f64(m.local_access_pitch_fraction);
+}
+
+fm::MachineConfig decode_machine(Reader& r) {
+  const std::int64_t cols = r.i64();
+  const std::int64_t rows = r.i64();
+  if (cols < 1 || rows < 1 || cols > kMaxWireGridPes ||
+      rows > kMaxWireGridPes / cols) {
+    throw WireError("Request: grid must have 1.." +
+                    std::to_string(kMaxWireGridPes) + " PEs");
+  }
+  const double pitch = read_finite(r, "pitch");
+  if (pitch <= 0.0) throw WireError("Request: pitch must be positive");
+  const auto topology = static_cast<noc::Topology>(read_enum(
+      r, static_cast<std::uint8_t>(noc::Topology::kTorus), "topology"));
+  noc::TechnologyModel t;
+  t.add_energy_per_bit_fj = read_finite(r, "tech");
+  t.add_delay = Time::picoseconds(read_finite(r, "tech"));
+  t.wire_energy_per_bit_mm_fj = read_finite(r, "tech");
+  t.wire_delay_per_mm = Time::picoseconds(read_finite(r, "tech"));
+  t.sram_cell_energy_per_bit_fj = read_finite(r, "tech");
+  t.sram_cell_delay = Time::picoseconds(read_finite(r, "tech"));
+  t.offchip_multiplier = read_finite(r, "tech");
+  t.offchip_latency = Time::picoseconds(read_finite(r, "tech"));
+  t.instruction_overhead_factor = read_finite(r, "tech");
+  t.die = Area::mm2(read_finite(r, "tech"));
+  fm::MachineConfig m{.geom = noc::GridGeometry(
+                          static_cast<int>(cols), static_cast<int>(rows),
+                          Length::millimetres(pitch), t, topology)};
+  m.cycle = Time::picoseconds(read_finite(r, "cycle"));
+  m.pe_capacity_values = r.i64();
+  m.link_bits_per_cycle = read_finite(r, "link bits");
+  m.local_access_pitch_fraction = read_finite(r, "pitch fraction");
+  return m;
+}
+
+fm::FigureOfMerit read_fom(Reader& r) {
+  return static_cast<fm::FigureOfMerit>(read_enum(
+      r, static_cast<std::uint8_t>(fm::FigureOfMerit::kEnergyDelay),
+      "figure of merit"));
+}
+
+void encode_verify(Writer& w, const fm::VerifyOptions& v) {
+  w.b(v.check_storage);
+  w.b(v.check_bandwidth);
+}
+
+fm::VerifyOptions decode_verify(Reader& r) {
+  fm::VerifyOptions v;
+  v.check_storage = r.b();
+  v.check_bandwidth = r.b();
+  return v;
+}
+
+// mix_search's fields, same order.
+void encode_search_options(Writer& w, const fm::SearchOptions& s) {
+  w.vec_i64(s.space.time_coeffs);
+  w.vec_i64(s.space.space_coeffs);
+  w.b(s.space.search_y);
+  w.u8(static_cast<std::uint8_t>(s.fom));
+  encode_verify(w, s.verify);
+  w.u64(s.quick_sample);
+  w.f64(s.makespan_slack);
+  w.u64(s.top_k);
+  w.b(s.keep_all_legal);
+}
+
+fm::SearchOptions decode_search_options(Reader& r) {
+  fm::SearchOptions s;
+  s.space.time_coeffs = r.vec_i64();
+  s.space.space_coeffs = r.vec_i64();
+  s.space.search_y = r.b();
+  s.fom = read_fom(r);
+  s.verify = decode_verify(r);
+  s.quick_sample = r.u64();
+  s.makespan_slack = read_finite(r, "makespan slack");
+  s.top_k = r.u64();
+  s.keep_all_legal = r.b();
+  return s;
+}
+
+// mix_strategy's fields, same order.
+void encode_strategy_options(Writer& w, const fm::StrategyOptions& s) {
+  w.u8(static_cast<std::uint8_t>(s.fom));
+  encode_verify(w, s.verify);
+  w.u64(s.seed);
+  w.i64(s.chains);
+  w.i64(s.iters_per_epoch);
+  w.i64(s.epochs);
+  w.f64(s.t0_fraction);
+  w.f64(s.cooling);
+  w.i64(s.stall_epochs);
+  w.i64(s.max_reheats);
+  w.f64(s.makespan_slack);
+  w.i64(s.beam_width);
+  w.i64(s.beam_moves);
+}
+
+fm::StrategyOptions decode_strategy_options(Reader& r) {
+  fm::StrategyOptions s;
+  s.fom = read_fom(r);
+  s.verify = decode_verify(r);
+  s.seed = r.u64();
+  s.chains = read_int(r, "chains");
+  s.iters_per_epoch = read_int(r, "iters_per_epoch");
+  s.epochs = read_int(r, "epochs");
+  s.t0_fraction = read_finite(r, "t0_fraction");
+  s.cooling = read_finite(r, "cooling");
+  s.stall_epochs = read_int(r, "stall_epochs");
+  s.max_reheats = read_int(r, "max_reheats");
+  s.makespan_slack = read_finite(r, "makespan slack");
+  s.beam_width = read_int(r, "beam_width");
+  s.beam_moves = read_int(r, "beam_moves");
+  return s;
+}
+
+// --- stochastic and pipeline replies ---------------------------------
+
+void encode_domain(Writer& w, const fm::IndexDomain& d) {
+  w.u8(static_cast<std::uint8_t>(d.rank()));
+  for (int i = 0; i < d.rank(); ++i) w.i64(d.extent(i));
+}
+
+fm::IndexDomain decode_domain(Reader& r) {
+  const int rank = r.u8();
+  if (rank < 1 || rank > 3) throw WireError("IndexDomain: bad rank");
+  std::int64_t e[3] = {1, 1, 1};
+  for (int i = 0; i < rank; ++i) {
+    e[i] = r.i64();
+    if (e[i] < 1) throw WireError("IndexDomain: extent must be positive");
+  }
+  return rank == 1   ? fm::IndexDomain(e[0])
+         : rank == 2 ? fm::IndexDomain(e[0], e[1])
+                     : fm::IndexDomain(e[0], e[1], e[2]);
+}
+
+template <typename T>
+void encode_ints(Writer& w, const std::vector<T>& v) {
+  w.u32(static_cast<std::uint32_t>(v.size()));
+  for (const T x : v) w.i64(x);
+}
+
+template <typename T>
+std::vector<T> decode_ints(Reader& r) {
+  const std::vector<std::int64_t> wide = r.vec_i64();
+  std::vector<T> v;
+  v.reserve(wide.size());
+  for (const std::int64_t x : wide) {
+    if (x < std::numeric_limits<T>::min() ||
+        x > std::numeric_limits<T>::max()) {
+      throw WireError("TableMap: entry out of range");
+    }
+    v.push_back(static_cast<T>(x));
+  }
+  return v;
+}
+
+void encode_table(Writer& w, const fm::TableMap& t) {
+  w.i64(t.target);
+  encode_domain(w, t.domain);
+  w.i64(t.cols);
+  w.i64(t.rows);
+  encode_ints(w, t.pe);
+  encode_ints(w, t.cycle);
+  encode_ints(w, t.input_home);
+  w.u32(static_cast<std::uint32_t>(t.input_refs.size()));
+  for (const fm::TableMap::InputRef& ref : t.input_refs) {
+    w.i64(ref.tensor);
+    w.i64(ref.point.i);
+    w.i64(ref.point.j);
+    w.i64(ref.point.k);
+  }
+}
+
+fm::TableMap decode_table(Reader& r) {
+  fm::TableMap t;
+  t.target = static_cast<fm::TensorId>(r.i64());
+  t.domain = decode_domain(r);
+  t.cols = static_cast<int>(r.i64());
+  t.rows = static_cast<int>(r.i64());
+  t.pe = decode_ints<std::int32_t>(r);
+  t.cycle = decode_ints<fm::Cycle>(r);
+  t.input_home = decode_ints<std::int32_t>(r);
+  const std::uint32_t refs = read_count(r, 32, "TableMap");
+  t.input_refs.resize(refs);
+  for (fm::TableMap::InputRef& ref : t.input_refs) {
+    ref.tensor = static_cast<fm::TensorId>(r.i64());
+    ref.point.i = r.i64();
+    ref.point.j = r.i64();
+    ref.point.k = r.i64();
+  }
+  return t;
+}
+
+void encode_strategy(Writer& w, const fm::StrategyResult& s) {
+  w.b(s.found);
+  encode_table(w, s.best);
+  encode_cost(w, s.cost);
+  w.f64(s.merit);
+  w.u64(s.moves_tried);
+  w.u64(s.moves_accepted);
+  w.u64(s.moves_rejected_illegal);
+  w.i64(s.epochs_run);
+  w.i64(s.reheats);
+  w.b(s.completed);
+  w.i64(s.chains_used);
+  w.u32(s.workers_used);
+}
+
+fm::StrategyResult decode_strategy(Reader& r) {
+  fm::StrategyResult s;
+  s.found = r.b();
+  s.best = decode_table(r);
+  s.cost = decode_cost(r);
+  s.merit = r.f64();
+  s.moves_tried = r.u64();
+  s.moves_accepted = r.u64();
+  s.moves_rejected_illegal = r.u64();
+  s.epochs_run = static_cast<int>(r.i64());
+  s.reheats = static_cast<int>(r.i64());
+  s.completed = r.b();
+  s.chains_used = static_cast<int>(r.i64());
+  s.workers_used = r.u32();
+  return s;
+}
+
+void encode_stage(Writer& w, const fm::StageResult& st) {
+  w.str(st.name);
+  w.b(st.found);
+  encode_map(w, st.affine);
+  encode_table(w, st.table);
+  encode_cost(w, st.cost);
+  w.f64(st.merit);
+  encode_search(w, st.search);
+  encode_strategy(w, st.strategy);
+  w.u64(st.home_fingerprint);
+  w.i64(st.start_cycle);
+  w.i64(st.finish_cycle);
+}
+
+fm::StageResult decode_stage(Reader& r) {
+  fm::StageResult st;
+  st.name = r.str();
+  st.found = r.b();
+  st.affine = decode_map(r);
+  st.table = decode_table(r);
+  st.cost = decode_cost(r);
+  st.merit = r.f64();
+  st.search = decode_search(r, st.cost);
+  st.strategy = decode_strategy(r);
+  st.home_fingerprint = r.u64();
+  st.start_cycle = r.i64();
+  st.finish_cycle = r.i64();
+  return st;
+}
+
+void encode_pipeline(Writer& w, const fm::PipelineResult& p) {
+  w.b(p.found);
+  w.b(p.completed);
+  w.u32(static_cast<std::uint32_t>(p.stages.size()));
+  for (const fm::StageResult& st : p.stages) encode_stage(w, st);
+  encode_cost(w, p.total);
+  w.f64(p.merit);
+  w.u64(p.probe_searches);
+}
+
+fm::PipelineResult decode_pipeline(Reader& r) {
+  fm::PipelineResult p;
+  p.found = r.b();
+  p.completed = r.b();
+  // A stage is well over 256 bytes (map, cost, search, two tables).
+  p.stages.resize(read_count(r, 256, "PipelineResult"));
+  for (fm::StageResult& st : p.stages) st = decode_stage(r);
+  p.total = decode_cost(r);
+  p.merit = r.f64();
+  p.probe_searches = r.u64();
+  return p;
+}
+
 }  // namespace
 
-void encode(Writer& w, const WireRequest& req) {
-  w.u8(static_cast<std::uint8_t>(req.kind));
-  w.str(req.spec);
-  w.i64(req.machine_cols);
-  w.i64(req.machine_rows);
-  w.f64(req.cycle_ps);
-  w.i64(req.pe_capacity_values);
-  w.f64(req.link_bits_per_cycle);
-  w.f64(req.local_access_pitch_fraction);
-  w.u8(static_cast<std::uint8_t>(req.fom));
-  w.u32(static_cast<std::uint32_t>(req.inputs.size()));
-  for (const InputPlacement& p : req.inputs) {
-    w.u8(static_cast<std::uint8_t>(p.kind));
-    w.i64(p.pe.x);
-    w.i64(p.pe.y);
+// ---------------------------------------------------------------------
+// Request: the fields make_cache_key reads, in its order, then QoS.
+// ---------------------------------------------------------------------
+
+void encode(Writer& w, const Request& req, const SpecCatalog& catalog) {
+  // What the key cannot read cannot cross: refuse rather than drop.
+  if (req.search.cancel || req.strategy_opts.cancel) {
+    throw WireError("Request: a cancel hook cannot cross the wire");
   }
-  encode_map(w, req.map);
-  w.b(req.check_storage);
-  w.b(req.check_bandwidth);
-  w.u64(req.max_messages);
-  w.vec_i64(req.time_coeffs);
-  w.vec_i64(req.space_coeffs);
-  w.b(req.search_y);
-  w.u64(req.quick_sample);
-  w.f64(req.makespan_slack);
-  w.u64(req.top_k);
-  w.i64(req.deadline_ns);
+  if (req.search.scheduler != nullptr || req.strategy_opts.scheduler ||
+      req.search.compiled != nullptr || req.strategy_opts.compiled ||
+      req.search.resume_from != 0) {
+    throw WireError(
+        "Request: scheduler, pre-compiled tables and resume offsets are "
+        "in-process state");
+  }
+  const bool pipeline = req.kind == RequestKind::kPipelineTune;
+  if (pipeline ? req.pipeline == nullptr : req.spec == nullptr) {
+    throw WireError("Request: no spec or pipeline to name");
+  }
+  // name_of throws for a spec or pipeline the catalog did not build —
+  // which also covers pipelines with distributed external homes.
+  w.u8(static_cast<std::uint8_t>(req.kind));
+  w.str(pipeline ? catalog.name_of(*req.pipeline)
+                 : catalog.name_of(*req.spec));
+  encode_machine(w, req.machine);
+  w.u8(static_cast<std::uint8_t>(req.fom));
+  if (!pipeline) {
+    w.u32(static_cast<std::uint32_t>(req.inputs.size()));
+    for (const InputPlacement& p : req.inputs) {
+      w.u8(static_cast<std::uint8_t>(p.kind));
+      w.i64(p.pe.x);
+      w.i64(p.pe.y);
+    }
+  }
+  switch (req.kind) {
+    case RequestKind::kCostEval:
+      encode_map(w, req.map);
+      break;
+    case RequestKind::kLegality:
+      encode_map(w, req.map);
+      encode_verify(w, req.verify);
+      w.u64(req.verify.max_messages);
+      break;
+    case RequestKind::kTune:
+    case RequestKind::kPipelineTune:
+      if (pipeline) {
+        w.b(req.pipeline_paired);
+        w.u64(req.pipeline_pair_candidates);
+      }
+      w.u8(static_cast<std::uint8_t>(req.strategy));
+      if (req.strategy == fm::StrategyKind::kExhaustive) {
+        encode_search_options(w, req.search);
+      } else {
+        encode_strategy_options(w, req.strategy_opts);
+      }
+      break;
+  }
+  w.i64(req.deadline.count());
   w.u32(req.tune_workers);
 }
 
-WireRequest decode_request(Reader& r) {
-  WireRequest req;
-  const std::uint8_t kind = r.u8();
-  if (kind > static_cast<std::uint8_t>(RequestKind::kPipelineTune)) {
-    throw WireError("WireRequest: bad kind");
+Request decode_request(Reader& r, SpecCatalog& catalog) {
+  Request req;
+  req.kind = static_cast<RequestKind>(read_enum(
+      r, static_cast<std::uint8_t>(RequestKind::kPipelineTune), "kind"));
+  const bool pipeline = req.kind == RequestKind::kPipelineTune;
+  const std::string name = r.str();
+  req.machine = decode_machine(r);
+  req.fom = read_fom(r);
+  if (!pipeline) {
+    req.inputs.resize(read_count(r, 17, "Request inputs"));
+    for (InputPlacement& p : req.inputs) {
+      p.kind = static_cast<InputPlacement::Kind>(read_enum(r, 1, "input"));
+      p.pe.x = read_int(r, "input pe");
+      p.pe.y = read_int(r, "input pe");
+    }
   }
-  req.kind = static_cast<RequestKind>(kind);
-  req.spec = r.str();
-  req.machine_cols = r.i64();
-  req.machine_rows = r.i64();
-  req.cycle_ps = r.f64();
-  req.pe_capacity_values = r.i64();
-  req.link_bits_per_cycle = r.f64();
-  req.local_access_pitch_fraction = r.f64();
-  const std::uint8_t fom = r.u8();
-  if (fom > 2) throw WireError("WireRequest: bad figure of merit");
-  req.fom = static_cast<fm::FigureOfMerit>(fom);
-  const std::uint32_t num_inputs = r.u32();
-  for (std::uint32_t i = 0; i < num_inputs; ++i) {
-    const std::uint8_t pk = r.u8();
-    if (pk > 1) throw WireError("WireRequest: bad input placement");
-    InputPlacement p;
-    p.kind = static_cast<InputPlacement::Kind>(pk);
-    p.pe.x = static_cast<int>(r.i64());
-    p.pe.y = static_cast<int>(r.i64());
-    req.inputs.push_back(p);
+  switch (req.kind) {
+    case RequestKind::kCostEval:
+      req.map = decode_map(r);
+      break;
+    case RequestKind::kLegality:
+      req.map = decode_map(r);
+      req.verify = decode_verify(r);
+      req.verify.max_messages = r.u64();
+      break;
+    case RequestKind::kTune:
+    case RequestKind::kPipelineTune:
+      if (pipeline) {
+        req.pipeline_paired = r.b();
+        req.pipeline_pair_candidates = r.u64();
+      }
+      req.strategy = static_cast<fm::StrategyKind>(read_enum(
+          r, static_cast<std::uint8_t>(fm::StrategyKind::kBeam), "strategy"));
+      if (req.strategy == fm::StrategyKind::kExhaustive) {
+        req.search = decode_search_options(r);
+      } else {
+        req.strategy_opts = decode_strategy_options(r);
+      }
+      break;
   }
-  req.map = decode_map(r);
-  req.check_storage = r.b();
-  req.check_bandwidth = r.b();
-  req.max_messages = r.u64();
-  req.time_coeffs = r.vec_i64();
-  req.space_coeffs = r.vec_i64();
-  req.search_y = r.b();
-  req.quick_sample = r.u64();
-  req.makespan_slack = r.f64();
-  req.top_k = r.u64();
-  req.deadline_ns = r.i64();
+  req.deadline = std::chrono::nanoseconds(r.i64());
   req.tune_workers = r.u32();
+  // Build last: a frame that fails to parse never reaches the catalog.
+  if (pipeline) {
+    req.pipeline = catalog.pipeline(name);
+  } else {
+    req.spec = catalog.spec(name);
+  }
   return req;
 }
+// ---------------------------------------------------------------------
+// Response.
+// ---------------------------------------------------------------------
 
 void encode(Writer& w, const Response& resp) {
   w.u8(static_cast<std::uint8_t>(resp.status));
@@ -306,6 +692,8 @@ void encode(Writer& w, const Response& resp) {
   encode_cost(w, resp.cost);
   encode_legality(w, resp.legality);
   encode_search(w, resp.search);
+  encode_strategy(w, resp.strategy);
+  encode_pipeline(w, resp.pipeline);
   encode_diags(w, resp.lint);
   w.b(resp.exec_checked);
   encode_diags(w, resp.exec);
@@ -329,6 +717,8 @@ Response decode_response(Reader& r) {
   resp.cost = decode_cost(r);
   resp.legality = decode_legality(r);
   resp.search = decode_search(r, resp.cost);
+  resp.strategy = decode_strategy(r);
+  resp.pipeline = decode_pipeline(r);
   resp.lint = decode_diags(r);
   resp.exec_checked = r.b();
   resp.exec = decode_diags(r);
@@ -371,10 +761,7 @@ WireMetrics decode_metrics(Reader& r) {
   m.compile_misses = r.u64();
   m.exec_checks = r.u64();
   m.exec_failures = r.u64();
-  const std::uint32_t n = r.u32();
-  if (static_cast<std::size_t>(n) * 8 > r.remaining()) {
-    throw WireError("WireMetrics: bucket count exceeds frame");
-  }
+  const std::uint32_t n = read_count(r, 8, "WireMetrics buckets");
   m.latency_buckets.resize(n);
   for (std::uint32_t i = 0; i < n; ++i) m.latency_buckets[i] = r.u64();
   return m;
@@ -401,58 +788,19 @@ WireMetrics to_wire(const MetricsSnapshot& snap,
 }
 
 // ---------------------------------------------------------------------
-// Keys and identity.
+// Identity.
 // ---------------------------------------------------------------------
-
-namespace {
-
-constexpr std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-std::uint64_t hash_bytes(const std::vector<std::uint8_t>& bytes,
-                         std::uint64_t seed) {
-  std::uint64_t h = mix64(seed ^ bytes.size());
-  std::size_t i = 0;
-  for (; i + 8 <= bytes.size(); i += 8) {
-    std::uint64_t chunk;
-    std::memcpy(&chunk, bytes.data() + i, 8);
-    h = mix64(h ^ chunk);
-  }
-  std::uint64_t tail = 0;
-  if (i < bytes.size()) {
-    std::memcpy(&tail, bytes.data() + i, bytes.size() - i);
-    h = mix64(h ^ tail);
-  }
-  return h;
-}
-
-}  // namespace
-
-CacheKey routing_key(const WireRequest& req) {
-  WireRequest canon = req;
-  // QoS, not semantics: a change of patience or lane budget must not
-  // migrate the key off its warm shard.
-  canon.deadline_ns = 0;
-  canon.tune_workers = 0;
-  Writer w;
-  encode(w, canon);
-  const std::vector<std::uint8_t> bytes = w.data();
-  // Two independently seeded streams, the same construction as the
-  // result-cache fingerprints: a 64-bit collision cannot alias a route
-  // *and* a coalesce decision at once.
-  return CacheKey{hash_bytes(bytes, 0xd157e1b0a7e45e21ULL),
-                  hash_bytes(bytes, 0x5e9f00d5c0a1e5ceULL)};
-}
 
 std::vector<std::uint8_t> semantic_bytes(const Response& resp) {
   Response canon = resp;
   canon.cache_hit = false;
   canon.latency = std::chrono::nanoseconds{0};
   canon.search.workers_used = 0;
+  canon.strategy.workers_used = 0;
+  for (fm::StageResult& st : canon.pipeline.stages) {
+    st.search.workers_used = 0;
+    st.strategy.workers_used = 0;
+  }
   Writer w;
   encode(w, canon);
   return w.take();

@@ -5,14 +5,21 @@
 // in-process loopback queue carrying the *same serialized bytes* so
 // every test exercises the full codec path without fork).  The codec is
 // deliberately process-boundary-honest: nothing that crosses it holds a
-// pointer, a closure, or an iteration-order dependence.  That rules out
-// shipping serve::Request itself — its FunctionSpec carries a black-box
-// dependence std::function — so wire requests name a spec *family* from
-// serve::SpecCatalog (the same grammar harmony-lint speaks:
-// "editdist:24x24", "stencil:64,8", "conv:96,8", "matmul:12",
-// "irregular:24,3,7") plus every scalar the oracles consume.  Both ends
-// rebuild identical Request objects, and make_cache_key() on the two
-// rebuilds agrees bit for bit (pinned by tests/serve_wire_test.cpp).
+// pointer, a closure, or an iteration-order dependence.
+//
+// Both directions carry the serve vocabulary itself.  A request crosses
+// as serve::Request: its spec or pipeline travels by the name
+// serve::SpecCatalog built it from (the grammar harmony-lint speaks:
+// "editdist:24x24", "conv:96,8", "fft:8", ...), and every other field
+// that crosses is one make_cache_key() reads, plus the two QoS fields
+// (deadline, tune_workers) — so "the wire carries exactly what the key
+// reads" is one equation, pinned by tests/serve_wire_test.cpp as
+// make_cache_key(decode(encode(req))) == make_cache_key(req).  What the
+// key cannot read cannot cross: encoding a request with a cancel hook,
+// a scheduler, pre-compiled tables, a resume offset, or a spec or
+// pipeline its catalog did not build (which covers distributed input
+// homes) throws WireError instead of silently dropping it.  A reply
+// crosses as serve::Response.
 //
 // Frame layout (little-endian):
 //
@@ -51,7 +58,7 @@ class WireError : public std::runtime_error {
 inline constexpr std::uint32_t kMaxFrameBytes = 1u << 30;
 
 enum class MsgType : std::uint8_t {
-  kSubmit = 1,    ///< router -> shard: WireRequest body
+  kSubmit = 1,    ///< router -> shard: Request body
   kReply = 2,     ///< shard -> router: Response body
   kMetricsGet = 3,///< router -> shard: empty body
   kMetrics = 4,   ///< shard -> router: WireMetrics body
@@ -149,50 +156,31 @@ class Reader {
 // Message bodies.
 // ---------------------------------------------------------------------
 
-/// Process-boundary-safe request: a catalog spec name plus every scalar
-/// knob the oracles read.  Supports kCostEval / kLegality / kTune with
-/// the exhaustive searcher; the stochastic and pipeline tiers stay
-/// in-process (their option structs carry service-owned callables).
-struct WireRequest {
-  RequestKind kind = RequestKind::kCostEval;
-  std::string spec;  ///< SpecCatalog name, e.g. "editdist:24x24"
-  // Machine (reconstructed via make_machine(cols, rows) + overrides).
-  std::int64_t machine_cols = 1;
-  std::int64_t machine_rows = 1;
-  double cycle_ps = 200.0;
-  std::int64_t pe_capacity_values = 1 << 20;
-  double link_bits_per_cycle = 256.0;
-  double local_access_pitch_fraction = 0.25;
-  fm::FigureOfMerit fom = fm::FigureOfMerit::kEnergyDelay;
-  std::vector<InputPlacement> inputs;
-  fm::AffineMap map;  ///< kCostEval / kLegality
-  // Verify options (kLegality, and the tune's legality gate).
-  bool check_storage = true;
-  bool check_bandwidth = true;
-  std::uint64_t max_messages = 8;
-  // Exhaustive-search knobs (kTune).  Empty coefficient pools mean "use
-  // the SearchSpace defaults" — mirroring fm::SearchSpace's initializers.
-  std::vector<std::int64_t> time_coeffs;
-  std::vector<std::int64_t> space_coeffs;
-  bool search_y = true;
-  std::uint64_t quick_sample = 64;
-  double makespan_slack = 4.0;
-  std::uint64_t top_k = 5;
-  // Routing-excluded fields: per-request QoS, not semantics.  Zeroed by
-  // routing_key() so a deadline change cannot migrate a key away from
-  // its warm shard.
-  std::int64_t deadline_ns = 0;
-  std::uint32_t tune_workers = 0;
-};
+class SpecCatalog;  // serve/catalog.hpp
 
-void encode(Writer& w, const WireRequest& req);
-[[nodiscard]] WireRequest decode_request(Reader& r);
+/// Request body: the request's kind, its spec (or pipeline) by catalog
+/// name, the machine, and the kind's payload — exactly the fields
+/// make_cache_key reads for that kind — then deadline and tune_workers.
+/// Throws WireError for anything that cannot cross (see file comment).
+void encode(Writer& w, const Request& req, const SpecCatalog& catalog);
 
-/// Reply body: the Response fields a wire client can consume —
-/// everything except the in-process-only strategy/pipeline tiers, and
-/// of the exhaustive SearchResult only the top-1 candidate and the
-/// search counters.  decode_response rebuilds `search.best.cost` from
-/// `cost` (Response::cost doc) with the best candidate's makespan.
+/// Rebuilds a Request, its spec or pipeline from `catalog`.  Throws
+/// WireError on a malformed body, an unknown or over-budget name
+/// (SpecCatalog), or a grid of more than kMaxWireGridPes PEs.
+[[nodiscard]] Request decode_request(Reader& r, SpecCatalog& catalog);
+
+/// Largest machine a request may name: far above any grid in use (64
+/// PEs), far below where the compiled P x P tables or
+/// GridGeometry::num_nodes() blow up.
+inline constexpr std::int64_t kMaxWireGridPes = 1024;
+
+/// Reply body: every Response field, with two abridgements.  Of an
+/// exhaustive SearchResult (the reply's and each pipeline stage's) only
+/// the top-1 candidate and the search counters cross, and
+/// decode_response rebuilds `best.cost` from the enclosing cost
+/// (Response::cost, StageResult::cost) with the candidate's own
+/// makespan.  The stochastic winner (Response::strategy) and the
+/// per-stage pipeline results (Response::pipeline) cross in full.
 /// Delivery metadata (shard, stolen, coalesced) is not part of the
 /// reply; the router stamps it on a RoutedReply.
 void encode(Writer& w, const Response& resp);
@@ -218,21 +206,15 @@ void encode(Writer& w, const WireMetrics& m);
                                   const std::vector<std::uint64_t>& buckets);
 
 // ---------------------------------------------------------------------
-// Keys and identity.
+// Identity.
 // ---------------------------------------------------------------------
 
-/// 128-bit routing key over the request's *semantic* fields: the
-/// QoS-only fields (deadline_ns, tune_workers) are zeroed first, so the
-/// same query always rides to the same shard regardless of patience.
-/// Distinct from make_cache_key (which needs the full spec); routing
-/// only needs stability and spread, both of which hashing the canonical
-/// encoding provides.
-[[nodiscard]] CacheKey routing_key(const WireRequest& req);
-
 /// The response's wire encoding with the fields that describe *how* the
-/// answer was produced (cache_hit, latency, search.workers_used) zeroed
-/// — two replies to one query compare byte-identical iff the oracles
-/// agreed, which is the acceptance check for work-stealing correctness.
+/// answer was produced (cache_hit, latency, and the lane counts
+/// search/strategy.workers_used, the reply's and every pipeline
+/// stage's) zeroed — two replies to one query compare byte-identical iff
+/// the oracles agreed, which is the acceptance check for work-stealing
+/// correctness.
 [[nodiscard]] std::vector<std::uint8_t> semantic_bytes(const Response& resp);
 
 // ---------------------------------------------------------------------

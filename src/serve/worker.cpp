@@ -31,16 +31,9 @@ void Worker::serve(std::shared_ptr<Channel> channel) {
         if (trace::enabled()) reply->begin_ns = trace::now_ns();
         try {
           Reader r(frame.body);
-          WireRequest wire = decode_request(r);
+          Request req = decode_request(r, catalog_);
           r.expect_end();
-          if (wire.kind != RequestKind::kCostEval &&
-              wire.kind != RequestKind::kLegality &&
-              wire.kind != RequestKind::kTune) {
-            throw WireError(std::string(to_string(wire.kind)) +
-                            " is not supported over the wire "
-                            "(in-process tiers only)");
-          }
-          reply->future = service_.submit(to_request(wire, catalog_));
+          reply->future = service_.submit(std::move(req));
         } catch (const std::exception& e) {
           Response error;
           error.status = Status::kError;

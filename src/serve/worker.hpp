@@ -3,8 +3,8 @@
 // A Worker is one shard's whole backend: a private Service (its own
 // result cache, CompiledSpec cache, scheduler pool — *affinity state*
 // that the router's consistent-hash routing keeps hot), a SpecCatalog
-// rebuilding named specs off the wire, and a serve() loop speaking the
-// frame protocol over one Channel.
+// rebuilding named specs and pipelines off the wire, and a serve() loop
+// speaking the frame protocol over one Channel.
 //
 // serve() never blocks the receive loop on an oracle: each kSubmit is
 // decoded, submitted to the Service (which answers cache hits
@@ -17,10 +17,10 @@
 // else: snapshot() encodes the cache's entries (Service::cache_entries)
 // and restore() puts them back by key (Service::warm), all or nothing.
 // A restore runs no catalog rebuild and no compile — replayed keys are
-// result-cache hits.  serve() rejects the in-process-only request
-// kinds, so a serving shard's cache only ever holds answers the
-// Response codec carries in full; anything cached through service()
-// directly is snapshotted in its wire form.
+// result-cache hits.  Every request kind and strategy crosses the wire,
+// and the Response codec carries every tier's answer (the exhaustive
+// search abridged to its top-1 candidate and counters, wire.hpp), so a
+// snapshot holds the same answers the shard would have served.
 #pragma once
 
 #include <cstdint>
@@ -66,7 +66,7 @@ class Worker {
     std::uint64_t id = 0;
     std::uint64_t begin_ns = 0;
     /// The Service's answer, or an already-ready error reply when the
-    /// frame failed to decode or convert before submit.
+    /// frame failed to decode before submit.
     std::future<Response> future;
   };
 

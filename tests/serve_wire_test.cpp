@@ -1,19 +1,20 @@
-// Wire codec, routing identity, transports, and spec-catalog rebuild
-// equivalence (DESIGN.md §17, ISSUE 10).
+// Wire codec, cache-key identity, transports, and spec-catalog rebuild
+// equivalence (DESIGN.md §17).
 //
 // The distributed tier's correctness rests on four codec-level facts
 // pinned here:
 //   * every message body round-trips bit-exactly (re-encoding a decode
-//     reproduces the original bytes — the encoding is canonical), and
-//     the reply layout is pinned byte for byte;
+//     reproduces the original bytes — the encoding is canonical), a
+//     request's make_cache_key survives the round trip, and the reply
+//     layout is pinned byte for byte;
 //   * truncated or bit-flipped frames throw WireError instead of
-//     reading past the end or crashing;
-//   * routing_key() covers the semantic fields and *excludes* the QoS
-//     fields, so a deadline change never migrates a key off its warm
-//     shard;
-//   * the router's spec rebuild and the shard's spec rebuild agree on
-//     make_cache_key bit for bit — the property that lets a shard's
-//     result cache serve a key the router hashed.
+//     reading past the end or crashing, and names or grids that would
+//     ask for unbounded work are refused;
+//   * make_cache_key() — the router's routing key — covers the
+//     semantic fields and *excludes* the QoS fields, so a deadline
+//     change never migrates a key off its warm shard;
+//   * what the key cannot read cannot cross: cancel hooks, in-process
+//     pointers and specs the catalog did not build make encode throw.
 
 #include <gtest/gtest.h>
 #include <sys/resource.h>
@@ -30,6 +31,8 @@
 #include <utility>
 #include <vector>
 
+#include "fm/machine.hpp"
+#include "sched/scheduler.hpp"
 #include "serve/catalog.hpp"
 #include "serve/request.hpp"
 #include "serve/snapshot.hpp"
@@ -38,37 +41,66 @@
 namespace harmony::serve {
 namespace {
 
-WireRequest sample_request() {
-  WireRequest req;
+/// An exhaustive tune with every keyed field off its default.
+Request sample_request(SpecCatalog& catalog) {
+  Request req;
   req.kind = RequestKind::kTune;
-  req.spec = "editdist:6x5";
-  req.machine_cols = 6;
-  req.machine_rows = 2;
-  req.cycle_ps = 250.0;
-  req.pe_capacity_values = 4096;
-  req.link_bits_per_cycle = 128.0;
-  req.local_access_pitch_fraction = 0.5;
+  req.spec = catalog.spec("editdist:6x5");
+  req.machine = fm::make_machine(6, 2);
+  req.machine.cycle = Time::picoseconds(250.0);
+  req.machine.pe_capacity_values = 4096;
+  req.machine.link_bits_per_cycle = 128.0;
+  req.machine.local_access_pitch_fraction = 0.5;
   req.fom = fm::FigureOfMerit::kTime;
   req.inputs = {InputPlacement::at({0, 0}), InputPlacement::dram()};
-  req.map = fm::AffineMap{.ti = 1, .tj = 1, .xi = 1, .cols = 6, .rows = 1};
-  req.check_storage = false;
-  req.check_bandwidth = true;
-  req.max_messages = 16;
-  req.time_coeffs = {-2, -1, 0, 1, 2};
-  req.space_coeffs = {0, 1};
-  req.search_y = false;
-  req.quick_sample = 32;
-  req.makespan_slack = 3.5;
-  req.top_k = 3;
-  req.deadline_ns = 5'000'000;
+  req.search.space.time_coeffs = {-2, -1, 0, 1, 2};
+  req.search.space.space_coeffs = {0, 1};
+  req.search.space.search_y = false;
+  req.search.fom = fm::FigureOfMerit::kTime;
+  req.search.verify.check_storage = false;
+  req.search.quick_sample = 32;
+  req.search.makespan_slack = 3.5;
+  req.search.top_k = 3;
+  req.deadline = std::chrono::milliseconds(5);
   req.tune_workers = 4;
   return req;
 }
 
-std::vector<std::uint8_t> encoded(const WireRequest& req) {
+/// An anneal tune over an irregular DAG on a torus with a retuned
+/// technology model: the stochastic tier plus every machine field.
+Request anneal_request(SpecCatalog& catalog) {
+  Request req;
+  req.kind = RequestKind::kTune;
+  req.spec = catalog.spec("irregular:24,3,7");
+  noc::TechnologyModel tech = noc::TechnologyModel::n5();
+  tech.wire_energy_per_bit_mm_fj = 60.0;
+  tech.die = Area::mm2(400.0);
+  req.machine = fm::make_machine(2, 2, tech);
+  req.machine.geom = noc::GridGeometry(2, 2, Length::millimetres(0.3), tech,
+                                       noc::Topology::kTorus);
+  req.inputs = {InputPlacement::at({1, 0})};
+  req.strategy = fm::StrategyKind::kAnneal;
+  req.strategy_opts.seed = 0xfeed;
+  req.strategy_opts.chains = 2;
+  req.strategy_opts.epochs = 5;
+  req.strategy_opts.iters_per_epoch = 48;
+  req.strategy_opts.cooling = 0.9;
+  return req;
+}
+
+std::vector<std::uint8_t> encoded(const Request& req,
+                                  const SpecCatalog& catalog) {
   Writer w;
-  encode(w, req);
+  encode(w, req, catalog);
   return w.take();
+}
+
+Request decoded(const std::vector<std::uint8_t>& bytes,
+                SpecCatalog& catalog) {
+  Reader r(bytes);
+  Request req = decode_request(r, catalog);
+  r.expect_end();
+  return req;
 }
 
 analyze::Diagnostic diag(std::string rule_id, analyze::Severity severity,
@@ -154,27 +186,32 @@ TEST(WireCodec, PrimitivesRoundTrip) {
 }
 
 TEST(WireCodec, RequestEncodingIsCanonical) {
-  const WireRequest req = sample_request();
-  const std::vector<std::uint8_t> bytes = encoded(req);
-
-  Reader r(bytes);
-  const WireRequest back = decode_request(r);
-  EXPECT_NO_THROW(r.expect_end());
-
-  // Spot-check the fields a byte comparison cannot localize...
-  EXPECT_EQ(back.kind, req.kind);
-  EXPECT_EQ(back.spec, req.spec);
-  EXPECT_EQ(back.machine_cols, req.machine_cols);
-  EXPECT_EQ(back.cycle_ps, req.cycle_ps);
-  EXPECT_EQ(back.inputs.size(), 2u);
-  EXPECT_EQ(back.inputs[0].kind, InputPlacement::Kind::kPe);
-  EXPECT_EQ(back.inputs[1].kind, InputPlacement::Kind::kDram);
-  EXPECT_EQ(back.map.cols, 6);
-  EXPECT_EQ(back.time_coeffs, req.time_coeffs);
-  EXPECT_EQ(back.deadline_ns, req.deadline_ns);
-  EXPECT_EQ(back.tune_workers, req.tune_workers);
-  // ...then pin canonicality: re-encoding the decode is bit-identical.
-  EXPECT_EQ(encoded(back), bytes);
+  SpecCatalog router;
+  SpecCatalog shard;
+  for (const Request& req : {sample_request(router), anneal_request(router)}) {
+    const std::vector<std::uint8_t> bytes = encoded(req, router);
+    // The shard rebuilds in its own catalog: same name, same key.
+    const Request back = decoded(bytes, shard);
+    EXPECT_EQ(make_cache_key(back), make_cache_key(req));
+    EXPECT_EQ(shard.name_of(*back.spec), router.name_of(*req.spec));
+    // The fields a key comparison cannot localize...
+    EXPECT_EQ(back.kind, req.kind);
+    EXPECT_EQ(back.machine.geom.cols(), req.machine.geom.cols());
+    EXPECT_EQ(back.machine.geom.topology(), req.machine.geom.topology());
+    EXPECT_EQ(back.machine.geom.tech().die.mm2(),
+              req.machine.geom.tech().die.mm2());
+    EXPECT_EQ(back.machine.cycle.picoseconds(),
+              req.machine.cycle.picoseconds());
+    EXPECT_EQ(back.inputs.size(), req.inputs.size());
+    EXPECT_EQ(back.strategy, req.strategy);
+    EXPECT_EQ(back.search.space.time_coeffs, req.search.space.time_coeffs);
+    EXPECT_EQ(back.strategy_opts.seed, req.strategy_opts.seed);
+    // ...and the QoS fields, which cross but are not keyed.
+    EXPECT_EQ(back.deadline, req.deadline);
+    EXPECT_EQ(back.tune_workers, req.tune_workers);
+    // Canonical: re-encoding the decode is bit-identical.
+    EXPECT_EQ(encoded(back, shard), bytes);
+  }
 }
 
 TEST(WireCodec, ResponseEncodingIsCanonical) {
@@ -194,10 +231,11 @@ TEST(WireCodec, ResponseEncodingIsCanonical) {
 }
 
 TEST(WireCodec, ResponseLayoutIsPinned) {
-  // The reply bytes of sample_response() as CacheSnapshot version 1
-  // encoded them, minus the 6-byte router delivery tail (u32 shard,
-  // stolen, coalesced) that replies no longer carry.  Any change here
-  // is a wire-format change: bump CacheSnapshot::kVersion with it.
+  // The reply bytes of sample_response() in the CacheSnapshot version-4
+  // layout: version 3's, plus the stochastic (strategy) and pipeline
+  // tiers — at their defaults here — between the search result and the
+  // lint diagnostics.  Any change here is a wire-format change: bump
+  // CacheSnapshot::kVersion with it.
   const std::string kGoldenHex =
       "000200002a00000000000000000000000068c040000000000000f83f00000000"
       "0000044000000000000000000000000000000c400700000000000000e0000000"
@@ -209,9 +247,18 @@ TEST(WireCodec, ResponseLayoutIsPinned) {
       "0000000000000000000000000000000000000600000000000000010000000000"
       "00002a0000000000000000000000d01233410000000000000000e80300000000"
       "0000000000000000000000000000000000000c00000000000000010000000000"
-      "0000000400000001000000060000004d41503030310101000000480300000000"
-      "0000000700000000000000030000006d73670400000068696e74010000000000"
-      "00000040e20100000000000000000000000000";
+      "0000000400000000ffffffffffffffff01010000000000000001000000000000"
+      "0001000000000000000000000000000000000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "0000000000000000000000000000000000010000000000000000010000000001"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000001000000"
+      "060000004d415030303101010000004803000000000000000700000000000000"
+      "030000006d73670400000068696e7401000000000000000040e2010000000000"
+      "0000000000000000";
   EXPECT_EQ(to_hex(encoded(sample_response())), kGoldenHex);
 }
 
@@ -350,6 +397,112 @@ TEST(WireCodec, ResponseRoundTripKeepsEveryWireField) {
   EXPECT_EQ(out.retry_after, in.retry_after);
 }
 
+fm::TableMap sample_table() {
+  fm::TableMap t;
+  t.target = 2;
+  t.domain = fm::IndexDomain(2, 3);
+  t.cols = 3;
+  t.rows = 2;
+  t.pe = {0, 1, 2, 3, 4, 5};
+  t.cycle = {0, 1, 2, 2, 3, 4};
+  t.input_home = {-1, 4};
+  t.input_refs = {{0, fm::Point{1, 0, 0}}, {1, fm::Point{0, 2, 0}}};
+  return t;
+}
+
+/// A pipeline-tune reply with both searcher tiers populated: an
+/// exhaustive stage and a table (stochastic) stage.
+Response sample_pipeline_response() {
+  Response resp;
+  resp.kind = RequestKind::kPipelineTune;
+  resp.cost.makespan_cycles = 19;
+  resp.cost.compute_energy = Energy::femtojoules(7.5);
+  fm::StageResult head;
+  head.name = "head";
+  head.found = true;
+  head.affine = fm::AffineMap{.ti = 1, .xi = 1, .cols = 3, .rows = 2};
+  head.cost.makespan_cycles = 9;
+  head.merit = 12.5;
+  head.search.found = true;
+  head.search.best.map = head.affine;
+  head.search.best.cost = head.cost;
+  head.search.enumerated = 40;
+  head.search.legal = 6;
+  head.search.workers_used = 2;
+  head.home_fingerprint = 0xabcdef;
+  head.finish_cycle = 9;
+  fm::StageResult tail;
+  tail.name = "tail";
+  tail.found = true;
+  tail.table = sample_table();
+  tail.cost.makespan_cycles = 10;
+  tail.strategy.found = true;
+  tail.strategy.best = tail.table;
+  tail.strategy.cost = tail.cost;
+  tail.strategy.merit = 3.25;
+  tail.strategy.moves_tried = 300;
+  tail.strategy.moves_accepted = 120;
+  tail.strategy.moves_rejected_illegal = 44;
+  tail.strategy.epochs_run = 5;
+  tail.strategy.reheats = 1;
+  tail.strategy.chains_used = 2;
+  tail.strategy.workers_used = 2;
+  tail.start_cycle = 9;
+  tail.finish_cycle = 19;
+  resp.pipeline.found = true;
+  resp.pipeline.stages = {head, tail};
+  resp.pipeline.total = resp.cost;
+  resp.pipeline.merit = 15.75;
+  resp.pipeline.probe_searches = 3;
+  return resp;
+}
+
+TEST(WireCodec, StrategyAndPipelineRepliesRoundTrip) {
+  Response anneal;
+  anneal.kind = RequestKind::kTune;
+  anneal.strategy = sample_pipeline_response().pipeline.stages[1].strategy;
+  anneal.strategy.completed = false;
+  for (const Response& in : {anneal, sample_pipeline_response()}) {
+    const std::vector<std::uint8_t> bytes = encoded(in);
+    Reader r(bytes);
+    const Response out = decode_response(r);
+    EXPECT_NO_THROW(r.expect_end());
+    EXPECT_EQ(encoded(out), bytes);
+
+    const fm::StrategyResult& s = out.strategy;
+    EXPECT_EQ(s.found, in.strategy.found);
+    EXPECT_EQ(s.best.domain, in.strategy.best.domain);
+    EXPECT_EQ(s.best.pe, in.strategy.best.pe);
+    EXPECT_EQ(s.best.cycle, in.strategy.best.cycle);
+    EXPECT_EQ(s.best.input_home, in.strategy.best.input_home);
+    EXPECT_EQ(s.best.input_refs.size(), in.strategy.best.input_refs.size());
+    EXPECT_EQ(s.moves_rejected_illegal, in.strategy.moves_rejected_illegal);
+    EXPECT_EQ(s.completed, in.strategy.completed);
+    EXPECT_EQ(s.workers_used, in.strategy.workers_used);
+    EXPECT_EQ(converged(out), converged(in));
+
+    const fm::PipelineResult& p = out.pipeline;
+    ASSERT_EQ(p.stages.size(), in.pipeline.stages.size());
+    for (std::size_t i = 0; i < p.stages.size(); ++i) {
+      const fm::StageResult& a = p.stages[i];
+      const fm::StageResult& b = in.pipeline.stages[i];
+      EXPECT_EQ(a.name, b.name);
+      EXPECT_EQ(a.affine.ti, b.affine.ti);
+      EXPECT_EQ(a.table.pe, b.table.pe);
+      EXPECT_EQ(a.table.input_refs.size(), b.table.input_refs.size());
+      EXPECT_EQ(a.cost.makespan_cycles, b.cost.makespan_cycles);
+      EXPECT_EQ(a.search.enumerated, b.search.enumerated);
+      EXPECT_EQ(a.strategy.moves_tried, b.strategy.moves_tried);
+      EXPECT_EQ(a.home_fingerprint, b.home_fingerprint);
+      EXPECT_EQ(a.start_cycle, b.start_cycle);
+      EXPECT_EQ(a.finish_cycle, b.finish_cycle);
+    }
+    EXPECT_EQ(p.found, in.pipeline.found);
+    EXPECT_EQ(p.merit, in.pipeline.merit);
+    EXPECT_EQ(p.probe_searches, in.pipeline.probe_searches);
+  }
+}
+
 TEST(WireCodec, ResponseDecodeRejectsOutOfRangeEnums) {
   const std::vector<std::uint8_t> good = encoded(sample_response());
   const auto decode = [](const std::vector<std::uint8_t>& bytes) {
@@ -398,57 +551,141 @@ TEST(WireCodec, MetricsEncodingIsCanonical) {
 }
 
 TEST(WireCodec, TruncatedDecodeThrows) {
-  const std::vector<std::uint8_t> bytes = encoded(sample_request());
+  SpecCatalog catalog;
+  const std::vector<std::uint8_t> bytes =
+      encoded(sample_request(catalog), catalog);
   for (const std::size_t len :
        {std::size_t{0}, std::size_t{1}, bytes.size() / 2, bytes.size() - 1}) {
     Reader r(bytes.data(), len);
-    EXPECT_THROW((void)decode_request(r), WireError) << "len=" << len;
+    EXPECT_THROW((void)decode_request(r, catalog), WireError) << "len=" << len;
   }
 }
 
 TEST(WireCodec, TrailingGarbageIsRejected) {
-  std::vector<std::uint8_t> bytes = encoded(sample_request());
+  SpecCatalog catalog;
+  std::vector<std::uint8_t> bytes = encoded(sample_request(catalog), catalog);
   bytes.push_back(0x00);
   Reader r(bytes);
-  (void)decode_request(r);
+  (void)decode_request(r, catalog);
   EXPECT_THROW(r.expect_end(), WireError);
 }
 
-TEST(RoutingKey, ExcludesQoSFields) {
-  const WireRequest base = sample_request();
-  const CacheKey key = routing_key(base);
+TEST(WireCodec, EncodeRefusesWhatTheKeyCannotRead) {
+  SpecCatalog catalog;
+  const Request base = sample_request(catalog);
+  const auto refused = [&](const Request& req) {
+    Writer w;
+    EXPECT_THROW(encode(w, req, catalog), WireError);
+  };
+  Request hooked = base;
+  hooked.search.cancel = [] { return false; };
+  refused(hooked);
+  Request strategy_hooked = anneal_request(catalog);
+  strategy_hooked.strategy_opts.cancel = [] { return false; };
+  refused(strategy_hooked);
+  Request scheduled = base;
+  sched::Scheduler pool(1);
+  scheduled.search.scheduler = &pool;
+  refused(scheduled);
+  Request resumed = base;
+  resumed.search.resume_from = 7;
+  refused(resumed);
 
-  WireRequest patient = base;
-  patient.deadline_ns = 0;
-  patient.tune_workers = 0;
-  EXPECT_EQ(routing_key(patient), key)
-      << "deadline/workers are QoS, not identity";
+  // A spec the catalog did not build, though structurally identical.
+  Request foreign = base;
+  foreign.spec = SpecCatalog().spec("editdist:6x5");
+  refused(foreign);
+  Request no_spec = base;
+  no_spec.spec = nullptr;
+  refused(no_spec);
 
-  WireRequest hurried = base;
-  hurried.deadline_ns = 1;
-  hurried.tune_workers = 16;
-  EXPECT_EQ(routing_key(hurried), key);
+  // A pipeline with a distributed external home: only a hand-built
+  // pipeline can carry one, and the catalog never built it.
+  fm::Pipeline pipe;
+  pipe.add_stage({"scan", catalog.spec("stencil:8,2"),
+                  {fm::StageInput::external(fm::InputHome::distributed(
+                      [](const fm::Point&) { return noc::Coord{0, 0}; }))}});
+  Request distributed;
+  distributed.kind = RequestKind::kPipelineTune;
+  distributed.pipeline = std::make_shared<const fm::Pipeline>(std::move(pipe));
+  refused(distributed);
 }
 
-TEST(RoutingKey, CoversSemanticFields) {
-  const WireRequest base = sample_request();
-  const CacheKey key = routing_key(base);
+TEST(WireCodec, DecodeRefusesOversizedGrids) {
+  SpecCatalog catalog;
+  Request req = sample_request(catalog);
+  req.kind = RequestKind::kCostEval;
+  req.map = fm::AffineMap{.ti = 1, .xi = 1, .cols = 6, .rows = 1};
+  const std::vector<std::uint8_t> good = encoded(req, catalog);
+  // The grid's (cols, rows) follow [u8 kind][u32 len][name].
+  const std::size_t at = 1 + 4 + catalog.name_of(*req.spec).size();
+  const auto with_grid = [&](std::int64_t cols, std::int64_t rows) {
+    std::vector<std::uint8_t> bytes = good;
+    std::memcpy(bytes.data() + at, &cols, sizeof cols);
+    std::memcpy(bytes.data() + at + 8, &rows, sizeof rows);
+    return bytes;
+  };
+  EXPECT_NO_THROW((void)decoded(with_grid(32, 32), catalog));  // 1024 PEs
+  for (const auto& [cols, rows] :
+       std::vector<std::pair<std::int64_t, std::int64_t>>{
+           {65536, 65536}, {200, 200}, {1025, 1}, {0, 4}, {4, -1}}) {
+    EXPECT_THROW((void)decoded(with_grid(cols, rows), catalog), WireError)
+        << cols << "x" << rows;
+  }
+}
 
-  WireRequest other_spec = base;
-  other_spec.spec = "editdist:6x6";
-  EXPECT_NE(routing_key(other_spec), key);
+// ---------------------------------------------------------------------
+// make_cache_key is the routing key: QoS out, semantics in.
+// ---------------------------------------------------------------------
 
-  WireRequest other_map = base;
+TEST(CacheKey, ExcludesQoSFields) {
+  SpecCatalog catalog;
+  const Request base = sample_request(catalog);
+  const CacheKey key = make_cache_key(base);
+
+  Request patient = base;
+  patient.deadline = std::chrono::nanoseconds{0};
+  patient.tune_workers = 0;
+  EXPECT_EQ(make_cache_key(patient), key)
+      << "deadline/workers are QoS, not identity";
+
+  Request hurried = base;
+  hurried.deadline = std::chrono::nanoseconds{1};
+  hurried.tune_workers = 16;
+  EXPECT_EQ(make_cache_key(hurried), key);
+}
+
+TEST(CacheKey, CoversSemanticFields) {
+  SpecCatalog catalog;
+  Request base = sample_request(catalog);
+  base.kind = RequestKind::kLegality;
+  base.map = fm::AffineMap{.ti = 1, .tj = 1, .xi = 1, .cols = 6, .rows = 1};
+  const CacheKey key = make_cache_key(base);
+
+  Request other_spec = base;
+  other_spec.spec = catalog.spec("editdist:6x6");
+  EXPECT_NE(make_cache_key(other_spec), key);
+
+  Request other_map = base;
   other_map.map.tj = 2;
-  EXPECT_NE(routing_key(other_map), key);
+  EXPECT_NE(make_cache_key(other_map), key);
 
-  WireRequest other_machine = base;
-  other_machine.machine_cols = 7;
-  EXPECT_NE(routing_key(other_machine), key);
+  Request other_machine = base;
+  other_machine.machine = fm::make_machine(7, 2);
+  EXPECT_NE(make_cache_key(other_machine), key);
 
-  WireRequest other_kind = base;
+  Request other_kind = base;
   other_kind.kind = RequestKind::kCostEval;
-  EXPECT_NE(routing_key(other_kind), key);
+  EXPECT_NE(make_cache_key(other_kind), key);
+
+  // The diagnostic cap shapes a legality reply, so it is keyed (and
+  // therefore crosses the wire).
+  Request other_cap = base;
+  other_cap.verify.max_messages = 2;
+  EXPECT_NE(make_cache_key(other_cap), key);
+  Writer w;
+  encode(w, other_cap, catalog);
+  EXPECT_EQ(decoded(w.data(), catalog).verify.max_messages, 2u);
 }
 
 TEST(SemanticBytes, IgnoresDeliveryMetadataOnly) {
@@ -460,6 +697,19 @@ TEST(SemanticBytes, IgnoresDeliveryMetadataOnly) {
   b.latency = a.latency + std::chrono::nanoseconds(999);
   b.search.workers_used = a.search.workers_used + 3;
   EXPECT_EQ(semantic_bytes(a), semantic_bytes(b));
+
+  // Lane counts are delivery detail in every tier: the stochastic
+  // winner's and each pipeline stage's.
+  const Response p = sample_pipeline_response();
+  Response q = p;
+  q.strategy.workers_used = 9;
+  for (fm::StageResult& st : q.pipeline.stages) {
+    st.search.workers_used += 5;
+    st.strategy.workers_used += 5;
+  }
+  EXPECT_EQ(semantic_bytes(p), semantic_bytes(q));
+  q.pipeline.stages[1].strategy.moves_accepted += 1;
+  EXPECT_NE(semantic_bytes(p), semantic_bytes(q));
 
   Response c = a;
   c.cost.makespan_cycles += 1;
@@ -485,12 +735,13 @@ TEST(Snapshot, RoundTripsAndChecksVersion) {
   skewed[0] = 0xfe;  // version byte
   EXPECT_THROW((void)decode_snapshot(skewed), WireError);
   // Version 1 snapshots carried replies with the router's delivery tail,
-  // and version 2 keyed entries by encoded request instead of cache
-  // key; both are rejected rather than misparsed.
-  skewed[0] = 1;
-  EXPECT_THROW((void)decode_snapshot(skewed), WireError);
-  skewed[0] = 2;
-  EXPECT_THROW((void)decode_snapshot(skewed), WireError);
+  // version 2 keyed entries by encoded request instead of cache key,
+  // and version 3 replies lacked the strategy and pipeline tiers; all
+  // are rejected rather than misparsed.
+  for (const std::uint8_t old : {1, 2, 3}) {
+    skewed[0] = old;
+    EXPECT_THROW((void)decode_snapshot(skewed), WireError) << int{old};
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -526,12 +777,6 @@ void sweep_corruptions(const std::vector<std::uint8_t>& bytes,
   }
 }
 
-void decode_whole_request(const std::vector<std::uint8_t>& bytes) {
-  Reader r(bytes);
-  (void)decode_request(r);
-  r.expect_end();
-}
-
 void decode_whole_response(const std::vector<std::uint8_t>& bytes) {
   Reader r(bytes);
   (void)decode_response(r);
@@ -539,12 +784,22 @@ void decode_whole_response(const std::vector<std::uint8_t>& bytes) {
 }
 
 TEST(CorruptInput, RequestDecoderReturnsOrThrowsWireError) {
-  sweep_corruptions(encoded(sample_request()), "request",
-                    decode_whole_request);
+  // One catalog for the whole sweep, as on a shard: a flipped digit in
+  // the name builds (and memoizes) a neighbouring spec, within budget.
+  SpecCatalog catalog;
+  for (const Request& req :
+       {sample_request(catalog), anneal_request(catalog)}) {
+    sweep_corruptions(encoded(req, catalog), "request",
+                      [&](const std::vector<std::uint8_t>& bytes) {
+                        (void)decoded(bytes, catalog);
+                      });
+  }
 }
 
 TEST(CorruptInput, ResponseDecoderReturnsOrThrowsWireError) {
   sweep_corruptions(encoded(sample_response()), "response",
+                    decode_whole_response);
+  sweep_corruptions(encoded(sample_pipeline_response()), "pipeline response",
                     decode_whole_response);
 }
 
@@ -661,29 +916,24 @@ TEST(Transport, SocketRecvDoesNotTrustTheAnnouncedLength) {
 // ---------------------------------------------------------------------
 
 TEST(SpecCatalog, RebuildAgreesOnCacheKeyAcrossTheWire) {
-  WireRequest wire = sample_request();
-  wire.kind = RequestKind::kCostEval;
-
-  // Router side: rebuild from the in-memory WireRequest.
   SpecCatalog router_catalog;
-  const Request router_view = to_request(wire, router_catalog);
+  Request req = sample_request(router_catalog);
+  req.kind = RequestKind::kCostEval;
 
-  // Shard side: rebuild from the *decoded* frame, in a fresh catalog.
-  const std::vector<std::uint8_t> bytes = encoded(wire);
-  Reader r(bytes);
-  const WireRequest off_the_wire = decode_request(r);
+  // Shard side: rebuild from the frame, in a fresh catalog.
   SpecCatalog shard_catalog;
-  const Request shard_view = to_request(off_the_wire, shard_catalog);
+  const Request shard_view =
+      decoded(encoded(req, router_catalog), shard_catalog);
+  ASSERT_NE(shard_view.spec.get(), req.spec.get());
 
-  EXPECT_EQ(make_cache_key(router_view), make_cache_key(shard_view));
+  EXPECT_EQ(make_cache_key(req), make_cache_key(shard_view));
   constexpr std::uint64_t kHomes = 0x5eed;  // any resolved-home fingerprint
-  EXPECT_EQ(make_stage_compile_key(*router_view.spec, router_view.machine,
-                                   kHomes),
+  EXPECT_EQ(make_stage_compile_key(*req.spec, req.machine, kHomes),
             make_stage_compile_key(*shard_view.spec, shard_view.machine,
                                    kHomes));
 }
 
-TEST(SpecCatalog, AllFamiliesBuildAndMemoize) {
+TEST(SpecCatalog, AllFamiliesBuildMemoizeAndName) {
   SpecCatalog catalog;
   for (const char* name : {"editdist:4x5", "stencil:16,4", "conv:24,3",
                            "matmul:4", "irregular:12,3,7"}) {
@@ -691,7 +941,21 @@ TEST(SpecCatalog, AllFamiliesBuildAndMemoize) {
     ASSERT_NE(first, nullptr) << name;
     // Memoized: the second probe is the same object, not a rebuild.
     EXPECT_EQ(catalog.spec(name), first) << name;
+    EXPECT_EQ(catalog.name_of(*first), name);
   }
+  for (const char* name :
+       {"fft:8", "scanchain:6", "diamond:4", "irregular:8,2,3"}) {
+    const auto first = catalog.pipeline(name);
+    ASSERT_NE(first, nullptr) << name;
+    EXPECT_EQ(catalog.pipeline(name), first) << name;
+    EXPECT_EQ(catalog.name_of(*first), name);
+  }
+  // Specs and pipelines are separate namespaces: one name, two objects.
+  EXPECT_EQ(catalog.name_of(*catalog.spec("irregular:8,2,3")),
+            catalog.name_of(*catalog.pipeline("irregular:8,2,3")));
+  // A structurally identical spec built elsewhere has no name here.
+  EXPECT_THROW((void)catalog.name_of(*SpecCatalog().spec("matmul:4")),
+               WireError);
 }
 
 TEST(SpecCatalog, RejectsUnknownAndMalformedNames) {
@@ -705,21 +969,27 @@ TEST(SpecCatalog, RejectsUnknownAndMalformedNames) {
   EXPECT_THROW((void)catalog.spec("editdist:99999999999999999999x2"),
                WireError);
   EXPECT_THROW((void)catalog.spec("irregular:12,3"), WireError);
-}
-
-TEST(SpecCatalog, ToRequestAppliesMachineOverrides) {
-  SpecCatalog catalog;
-  const WireRequest wire = sample_request();
-  const Request req = to_request(wire, catalog);
-  EXPECT_EQ(req.machine.geom.cols(), 6);
-  EXPECT_EQ(req.machine.geom.rows(), 2);
-  EXPECT_EQ(req.machine.cycle.picoseconds(), 250.0);
-  EXPECT_EQ(req.machine.pe_capacity_values, 4096);
-  EXPECT_EQ(req.machine.link_bits_per_cycle, 128.0);
-  EXPECT_EQ(req.fom, fm::FigureOfMerit::kTime);
-  EXPECT_EQ(req.search.space.time_coeffs, wire.time_coeffs);
-  EXPECT_FALSE(req.search.space.search_y);
-  EXPECT_EQ(req.deadline.count(), wire.deadline_ns);
+  // Zero extents are bad names, not builder preconditions.
+  EXPECT_THROW((void)catalog.spec("editdist:0x4"), WireError);
+  EXPECT_THROW((void)catalog.spec("stencil:8,0"), WireError);
+  EXPECT_THROW((void)catalog.spec("irregular:12,0,7"), WireError);
+  // Over the 2^20-point budget: matmul's N^3 would overflow a domain
+  // size, an INT_MAX+1 fan-in would wrap the int cast.
+  EXPECT_THROW((void)catalog.spec("matmul:3000000"), WireError);
+  EXPECT_THROW((void)catalog.spec("matmul:102"), WireError);
+  EXPECT_THROW((void)catalog.spec("editdist:1025x1024"), WireError);
+  EXPECT_THROW((void)catalog.spec("irregular:12,2147483648,7"), WireError);
+  EXPECT_NO_THROW((void)catalog.spec("editdist:1024x1024"));
+  EXPECT_NO_THROW((void)catalog.spec("matmul:101"));
+  // Pipelines: same grammar rules, plus the builders' own shape checks.
+  EXPECT_THROW((void)catalog.pipeline("bogus:4"), WireError);
+  EXPECT_THROW((void)catalog.pipeline("editdist:4x4"), WireError);
+  EXPECT_THROW((void)catalog.pipeline("fft:3"), WireError);  // not 2^k
+  EXPECT_THROW((void)catalog.pipeline("fft:0"), WireError);
+  EXPECT_THROW((void)catalog.pipeline("scanchain:2000000"), WireError);
+  EXPECT_THROW((void)catalog.pipeline("irregular:8,2"), WireError);
+  // Nothing refused was memoized or named.
+  EXPECT_THROW((void)catalog.pipeline("fft:3"), WireError);
 }
 
 }  // namespace
