@@ -1,7 +1,7 @@
 // E22 — compile-once candidate evaluation (DESIGN.md §12).
 //
 // The mapping search visits thousands of candidates per tune, and under
-// the legacy oracles every one of them re-ran the FunctionSpec's
+// the Mapping-walking oracles every one of them re-ran the FunctionSpec's
 // dependence callbacks (an allocation per point), re-walked the NoC for
 // every hop, and rebuilt a hash set of delivered values.  fm/compiled.hpp
 // folds everything that does not depend on the candidate into flat
@@ -12,7 +12,8 @@
 // sampled causality, legality, cost evaluation — through both paths
 // over the identical candidate list.  The legacy pass is the
 // pre-compiled search inner loop verbatim (spec callbacks, a Mapping
-// object per candidate, the full report-building verifier); the
+// object per candidate, and the reference oracles of tests/reference,
+// fm::reference::verify / evaluate_cost, as its verifier and pricer); the
 // compiled pass is what search_affine runs today (flat tables and the
 // report-free short-circuit legality gate).  Both accumulate an exact checksum (gate counts, summed
 // makespan, summed energy bits) that must agree.
@@ -48,6 +49,7 @@
 #include "fm/idioms.hpp"
 #include "fm/legality.hpp"
 #include "fm/search.hpp"
+#include "reference/reference.hpp"
 #include "sched/scheduler.hpp"
 #include "sched/workspan.hpp"
 #include "support/table.hpp"
@@ -283,12 +285,12 @@ int main(int argc, char** argv) {
         for (fm::TensorId in : k.spec.input_tensors()) {
           m.set_input(in, proto.input_home(in));
         }
-        const fm::LegalityReport lr = fm::verify(k.spec, m, cfg);
+        const fm::LegalityReport lr = fm::reference::verify(k.spec, m, cfg);
         if (!lr.ok) {
           ++sum.verify_rejected;
           continue;
         }
-        const fm::CostReport cr = fm::evaluate_cost(k.spec, m, cfg);
+        const fm::CostReport cr = fm::reference::evaluate_cost(k.spec, m, cfg);
         ++sum.legal;
         sum.cycles += cr.makespan_cycles;
         sum.energy_fj += cr.total_energy().femtojoules();
@@ -333,7 +335,7 @@ int main(int argc, char** argv) {
         if (cs->has_input_deps) {
           fm::Cycle deficit = 0;
           std::int64_t lin = 0;
-          cs->domain.for_each([&](const fm::Point& p) {
+          cs->segments.front().domain.for_each([&](const fm::Point& p) {
             const auto v = static_cast<std::size_t>(lin++);
             const std::uint64_t dlo = cs->dep_offsets[v];
             const std::uint64_t dhi = cs->dep_offsets[v + 1];

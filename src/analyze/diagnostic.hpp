@@ -78,7 +78,7 @@ struct RuleInfo {
 };
 
 inline constexpr RuleInfo kRules[] = {
-    // F&M legality errors (fm/legality.cpp) — Dally's three conditions
+    // F&M legality errors (fm::verify) — Dally's three conditions
     // plus PE exclusivity.
     {"FM001", Severity::kError, "fm-causality",
      "delay the consumer (larger time coefficient) or move producer and "

@@ -87,7 +87,8 @@ ExecWitness build_witness_impl(const fm::CompiledSpec& cs, const View& view,
   w.op_pe.resize(n);
   w.op_cycle.resize(n);
   std::int64_t lin = 0;
-  cs.domain.for_each([&](const fm::Point& p) {
+  const fm::CompiledSegment& seg = cs.single("build_exec_witness");
+  seg.domain.for_each([&](const fm::Point& p) {
     const auto v = static_cast<std::size_t>(lin++);
     w.op_pe[v] = view.pe(v, p);
     w.op_cycle[v] = view.time(v, p);
@@ -150,7 +151,7 @@ ExecWitness build_witness_impl(const fm::CompiledSpec& cs, const View& view,
   for (std::size_t v = 0; v < n; ++v) {
     if (w.op_cycle[v] < 0) continue;  // flagged by EXEC002, off-ledger
     const fm::Cycle end =
-        (cs.target_is_output ? makespan : last_use[v]) + 1;
+        (seg.is_output ? makespan : last_use[v]) + 1;
     w.residency.push_back({w.op_pe[v], w.op_cycle[v], end});
   }
 

@@ -1,15 +1,22 @@
 // Mapping linter (harmony::analyze) — structured diagnostics over a
-// (FunctionSpec, Mapping, MachineConfig) triple.
+// compiled spec and a per-op placement table.
 //
-// lint_mapping() runs fm::verify() and forwards its error diagnostics
-// (FM001–FM004), then adds warning-tier rules for mappings that are
-// *legal but smelly* — the gap Dally's paper cares about between "runs"
-// and "runs well on this machine":
+// lint_mapping() runs the compiled legality report (fm::verify over
+// CompiledSpec) and forwards its error diagnostics (FM001–FM004), then
+// adds warning-tier rules for mappings that are *legal but smelly* —
+// the gap Dally's paper cares about between "runs" and "runs well on
+// this machine":
 //
 //   FM101 fm-idle-pes           a large fraction of PEs never compute
 //   FM102 fm-storage-highwater  peak live values near PE capacity
 //   FM103 fm-bandwidth-hotspot  a link runs near its bandwidth cap
 //   FM104 fm-recompute          shipped values cheaper to recompute
+//
+// One body, over (CompiledSpec, TableMap): FM101 reads the table's PEs,
+// FM102/FM103 the legality report's peaks, FM104 the compiled recompute
+// report.  A caller that already holds the compiled spec (serve's
+// certification loop) lints with no further compile; the
+// (spec, Mapping | TableMap, machine) overloads compile first.
 //
 // All thresholds live in LintOptions so tests and the harmony-lint CLI
 // can tighten or relax them.
@@ -24,6 +31,10 @@
 #include "fm/mapping.hpp"
 #include "fm/spec.hpp"
 #include "fm/strategy/table_map.hpp"
+
+namespace harmony::fm {
+struct CompiledSpec;  // fm/compiled.hpp
+}  // namespace harmony::fm
 
 namespace harmony::analyze {
 
@@ -69,15 +80,21 @@ struct LintReport {
   }
 };
 
+/// The one lint body.  `tm` must match `cs` (table_from_affine /
+/// table_from_mapping of it, or a search_table winner on it).
+[[nodiscard]] LintReport lint_mapping(const fm::CompiledSpec& cs,
+                                      const fm::TableMap& tm,
+                                      const LintOptions& opts = {});
+
+/// Front door for a closure Mapping: compile_spec + table_from_mapping.
 [[nodiscard]] LintReport lint_mapping(const fm::FunctionSpec& spec,
                                       const fm::Mapping& mapping,
                                       const fm::MachineConfig& machine,
                                       const LintOptions& opts = {});
 
-/// Lints a per-op placement table (fm/strategy/table_map.hpp) by
-/// lowering it through fm::to_mapping — every rule (FM001–FM104) sees
-/// exactly the mapping the table denotes, so a table-mapped winner gets
-/// the same smell report an affine one would.
+/// Front door for a per-op placement table (fm/strategy/table_map.hpp)
+/// of a single-computed-tensor spec: compiles with the table's input
+/// homes and lints the table itself.
 [[nodiscard]] LintReport lint_mapping(const fm::FunctionSpec& spec,
                                       const fm::TableMap& table,
                                       const fm::MachineConfig& machine,

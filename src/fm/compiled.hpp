@@ -1,24 +1,29 @@
-// Compile-once candidate evaluation for the mapping-search inner loop.
+// Compile-once evaluation: the one production evaluator of the F&M cost
+// model (Dally, §3).
 //
-// Dally's §3 pitch is that the F&M cost model makes mappings
-// *systematically searchable* — so the searcher's candidates/second is
-// the headline metric.  Yet most of what the per-candidate oracles
-// (fm/cost.cpp, fm/legality.cpp) compute is invariant across a whole
-// search: the spec's dependence relation, value indices, per-tensor
-// bits/ops/op-energy, and every geometry query (hop counts, transfer
-// energies, transit cycles, DRAM costs, dimension-ordered routes).
+// Every (function, mapping) query — the search inner loop, serve's cost
+// and legality asks, the linter, the fm::evaluate_cost / fm::verify /
+// fm::recompute_report front doors over a closure Mapping — runs here.
+// Most of what a candidate evaluation computes is invariant across a
+// whole search: the spec's dependence relation, value indices,
+// per-tensor bits/ops/op-energy, and every geometry query (hop counts,
+// transfer energies, transit cycles, DRAM costs).
 //
 // CompiledSpec freezes a (FunctionSpec, MachineConfig, input_proto)
-// triple into flat arrays once per search:
+// triple into flat arrays once:
+//   * one segment per computed tensor, in computed_tensors() order, with
+//     one linearization across all of them (segment s owns global
+//     indices [first, first + domain.size()));
 //   * per-point dependence lists flattened into one contiguous array
 //     with a CSR-style offset table (no std::function calls, no
 //     per-point vector allocation, no domain re-validation);
 //   * input values renumbered to dense ordinals so delivery tracking is
 //     an array index, not a hash probe;
 //   * geometry memoized as [from * num_pes + to] tables plus per-PE DRAM
-//     costs and precomputed XY routes for the bandwidth check;
-//   * the candidate-invariant compute-energy / total-ops sums, folded by
-//     the *same* addition loop the legacy evaluator runs.
+//     costs (energies once per distinct segment bit width); routes for
+//     the bandwidth check are walked by noc::GridGeometry's one route
+//     walk, not tabulated;
+//   * the candidate-invariant compute-energy / total-ops sums.
 //
 // EvalContext is the per-lane scratch: an epoch-stamped delivered table
 // (one uint32 compare per dependence instead of an unordered_set insert;
@@ -27,12 +32,14 @@
 // shared read-only by all search lanes; each lane owns one EvalContext,
 // which keeps fm::search_lanes RaceCtx-certifiable.
 //
-// Hard invariant: evaluate_cost(CompiledSpec) and verify(CompiledSpec)
-// are *bit-identical* to their FunctionSpec counterparts on every report
-// field — same dependence visit order, same branch order, same
-// floating-point addition sequence — so the deterministic top-k
-// guarantee of DESIGN.md §10 is untouched.  Tests pin compiled vs.
-// legacy vs. the executing GridMachine ledger.  DESIGN.md §12.
+// The AffineMap family (and the searchers and witness builder that use
+// it) maps exactly one computed tensor: its overloads throw
+// InvalidArgument on a multi-segment spec.  TableMap spans every segment.
+//
+// Reference: the Mapping-walking oracles these bodies replaced live in
+// tests/reference (harmony_fm_reference).  Tests pin compiled vs. that
+// reference on every report field, diagnostic text and order included,
+// and vs. the executing GridMachine ledger.  DESIGN.md §12.
 #pragma once
 
 #include <algorithm>
@@ -45,17 +52,19 @@
 #include "fm/legality.hpp"
 #include "fm/machine.hpp"
 #include "fm/mapping.hpp"
+#include "fm/recompute.hpp"
 #include "fm/spec.hpp"
+#include "noc/mesh.hpp"
 #include "support/units.hpp"
 
 namespace harmony::fm {
 
-/// One flattened dependence edge of the target tensor.  The input home
+/// One flattened dependence edge of a computed point.  The input home
 /// (including kDistributed closures) is resolved to a concrete PE at
 /// compile time, so evaluation never touches an InputHome again.
 struct CompiledDep {
   enum Kind : std::uint8_t {
-    kComputed = 0,   ///< dep on the target tensor itself
+    kComputed = 0,   ///< dep on a computed tensor (any segment)
     kInputDram = 1,  ///< input tensor homed in DRAM
     kInputPe = 2,    ///< input tensor homed on a PE (home_pe below)
   };
@@ -63,51 +72,100 @@ struct CompiledDep {
   TensorId tensor = -1;         ///< dep tensor id (diagnostics)
   std::int32_t home_pe = -1;    ///< kInputPe: resolved home PE index
   std::uint32_t input_ord = 0;  ///< kInput*: dense input-value ordinal
-  std::int64_t dep_lin = -1;    ///< kComputed: linearized target index
+  std::int64_t dep_lin = -1;    ///< kComputed: global linear index
   std::int64_t i = 0, j = 0, k = 0;  ///< dep point
 
   [[nodiscard]] Point point() const { return Point{i, j, k}; }
 };
 
+/// One computed tensor's slice of the compiled linearization.
+struct CompiledSegment {
+  TensorId tensor = -1;
+  IndexDomain domain{1};
+  std::int64_t first = 0;  ///< global linear index of the segment's first point
+  bool is_output = false;
+  std::size_t bits = 32;
+  double ops = 1.0;
+  /// tech.sram_access_energy(bits, local_reach): constant per machine.
+  Energy sram_access = Energy::zero();
+  /// Which bits-keyed energy table the segment prices with: its
+  /// transfer energies start at transfer_energy[energy_table * P * P],
+  /// its DRAM energies at dram_energy[energy_table * P].
+  std::size_t energy_table = 0;
+};
+
 /// The search-invariant half of candidate evaluation, frozen flat.
 /// Read-only after compile_spec() — safe to share across lanes.
 struct CompiledSpec {
-  // --- target tensor ---
+  // --- computed tensors ---
+  std::vector<CompiledSegment> segments;
+  /// The first computed tensor (the only one when segments.size() == 1).
   TensorId target = -1;
-  IndexDomain domain{1};
-  bool target_is_output = false;
-  std::size_t bits = 32;
-  double ops = 1.0;
-  std::int64_t num_points = 0;
-  /// Tensor names by id, for diagnostics identical to the legacy path.
+  std::int64_t num_points = 0;  ///< over all segments
+  /// Tensor names and bit widths by id, for diagnostics identical to the
+  /// reference and for recompute pricing of input operands.
   std::vector<std::string> tensor_names;
+  std::vector<std::size_t> tensor_bits;
 
   // --- machine ---
+  noc::GridGeometry geom{1, 1, Length::millimetres(1.0)};
+  Length local_reach = Length::zero();
   int cols = 1, rows = 1;
   std::size_t num_pes = 1;
   Time cycle = Time::zero();
   std::int64_t pe_capacity_values = 0;
   double link_bits_per_cycle = 0.0;
 
-  // --- candidate-invariant totals (legacy addition order) ---
+  // --- candidate-invariant totals (segment order, one += per point) ---
   Energy compute_energy_total = Energy::zero();
   double total_ops_total = 0.0;
-  /// tech.sram_access_energy(bits, local_reach): constant per machine.
-  Energy sram_access = Energy::zero();
 
   // --- geometry tables, indexed [from * num_pes + to] ---
+  /// One P x P block per energy table (see CompiledSegment).
   std::vector<Energy> transfer_energy;
   std::vector<std::int64_t> hop_count;
   std::vector<Cycle> transit;
-  // Per-PE DRAM access cost/latency.
+  // Per-PE DRAM access cost (one P block per energy table) / latency.
   std::vector<Energy> dram_energy;
   std::vector<Cycle> dram_cycles;
-  /// Dimension-ordered routes for the bandwidth check: directed-link ids
-  /// of the walk from `from` to `to`, CSR over [from * num_pes + to].
-  std::vector<std::uint32_t> route_offsets;
-  std::vector<std::uint32_t> route_links;
+  /// Grid coordinate of each PE index.
+  std::vector<noc::Coord> pe_coords;
+  /// The bandwidth check's routes, as legs recorded from the geometry's
+  /// route walk (noc::GridGeometry::for_each_route_link).  A
+  /// dimension-ordered route is its X leg — which depends only on the
+  /// two columns, offset by the source row — then its Y leg — only on
+  /// the two rows, offset by the destination column — so cols^2 + rows^2
+  /// legs (CSR over [from * extent + to], link ids relative to row or
+  /// column 0) stand for all P^2 routes at table-lookup speed.
+  std::vector<std::uint32_t> x_leg_offsets, x_leg_links;
+  std::vector<std::uint32_t> y_leg_offsets, y_leg_links;
 
-  // --- flattened dependences, CSR over linearized target points ---
+  /// Calls on_link(id) for each directed link of the route from PE
+  /// `src` to PE `dst`, in walk order — the same ids
+  /// geom.for_each_route_link(pe_coords[src], pe_coords[dst]) yields.
+  template <typename F>
+  void for_each_route_link(std::size_t src, std::size_t dst,
+                           F&& on_link) const {
+    const noc::Coord a = pe_coords[src];
+    const noc::Coord b = pe_coords[dst];
+    const auto row = static_cast<std::uint32_t>(a.y) *
+                     static_cast<std::uint32_t>(cols) *
+                     noc::GridGeometry::kLinksPerNode;
+    const auto x = static_cast<std::size_t>(a.x) * static_cast<std::size_t>(cols) +
+                   static_cast<std::size_t>(b.x);
+    for (std::uint32_t o = x_leg_offsets[x]; o < x_leg_offsets[x + 1]; ++o) {
+      on_link(static_cast<std::size_t>(row + x_leg_links[o]));
+    }
+    const auto col = static_cast<std::uint32_t>(b.x) *
+                     noc::GridGeometry::kLinksPerNode;
+    const auto y = static_cast<std::size_t>(a.y) * static_cast<std::size_t>(rows) +
+                   static_cast<std::size_t>(b.y);
+    for (std::uint32_t o = y_leg_offsets[y]; o < y_leg_offsets[y + 1]; ++o) {
+      on_link(static_cast<std::size_t>(col + y_leg_links[o]));
+    }
+  }
+
+  // --- flattened dependences, CSR over global linear indices ---
   std::vector<std::uint64_t> dep_offsets;  ///< num_points + 1 entries
   std::vector<CompiledDep> deps;
   /// True when any edge reads an input tensor; false lets the search
@@ -115,6 +173,11 @@ struct CompiledSpec {
   bool has_input_deps = false;
   /// Dense input-value ordinal space size (delivered-table rows).
   std::uint32_t num_input_values = 0;
+
+  /// The one segment of a single-computed-tensor spec; throws
+  /// InvalidArgument naming `who` otherwise.  The AffineMap family, the
+  /// searchers and the witness builder go through this.
+  [[nodiscard]] const CompiledSegment& single(const char* who) const;
 
   /// PE index of a coordinate produced by AffineMap::place (always
   /// in-range, so no bounds re-check: same value as geom.index()).
@@ -124,16 +187,22 @@ struct CompiledSpec {
   }
 
   /// max(0, max over the domain of time(p) + 1): the affine form attains
-  /// its extremes at domain corners, so this is exact — identical to the
-  /// legacy per-point running max, in integer arithmetic.
+  /// its extremes at domain corners, so this is exact — identical to a
+  /// per-point running max, in integer arithmetic.
   [[nodiscard]] Cycle makespan_cycles_of(const AffineMap& map) const;
 };
 
+/// Upper bound on one EvalContext's scratch (delivered table plus the
+/// per-point verifier buffers).  The delivered table is input values x
+/// PEs, so a large irregular spec on a large grid would otherwise ask
+/// gigabytes per search lane.
+inline constexpr std::size_t kMaxEvalContextBytes = std::size_t{128} << 20;
+
 /// Freezes the triple into a CompiledSpec (one pass over the dependence
-/// relation).  The spec must have exactly one computed tensor (the
-/// AffineMap family maps a single tensor — same precondition as
-/// search_affine); `input_proto` must supply a home for every input
-/// tensor.  Traced as trace::Span("fm", "compile").
+/// relation).  Any number of computed tensors; `input_proto` must supply
+/// a home for every input tensor.  Throws InvalidArgument when the
+/// per-lane EvalContext would exceed kMaxEvalContextBytes.  Traced as
+/// trace::Span("fm", "compile").
 [[nodiscard]] std::shared_ptr<const CompiledSpec> compile_spec(
     const FunctionSpec& spec, const MachineConfig& machine,
     const Mapping& input_proto);
@@ -168,7 +237,7 @@ class EvalContext {
   }
 
   /// Starts a fresh delivered-set scope (one oracle call = one scope,
-  /// mirroring the legacy per-call unordered_set).
+  /// mirroring the reference oracles' per-call delivered set).
   void begin_candidate() {
     if (++epoch_ == 0) {  // uint32 wrapped: wipe once, restart at 1
       std::fill(delivered_.begin(), delivered_.end(), 0u);
@@ -233,15 +302,20 @@ class EvalContextPool {
   std::vector<EvalContext> ctxs_;
 };
 
-/// The compiled fast path of fm::evaluate_cost — bit-identical on every
-/// CostReport field to evaluate_cost(spec, mapping, machine) for the
-/// mapping (AffineMap on the target + the compiled input homes).
+// --- AffineMap overloads ----------------------------------------------
+// The search inner loop's oracles.  Each throws InvalidArgument when the
+// spec has more than one computed tensor or when the map's grid is
+// empty or larger than the machine's (a map on a sub-grid is fine: its
+// places all land on the machine).
+
+/// The full cost report of the AffineMap on the computed tensor plus the
+/// compiled input homes.
 [[nodiscard]] CostReport evaluate_cost(const CompiledSpec& cs,
                                        const AffineMap& map,
                                        EvalContext& ctx);
 
-/// The compiled fast path of fm::verify — identical LegalityReport
-/// (counters, peaks, diagnostics text and order) to the legacy checker.
+/// The full legality report: counters, peaks, and FM001–FM004
+/// diagnostics in visit order.
 [[nodiscard]] LegalityReport verify(const CompiledSpec& cs,
                                     const AffineMap& map, EvalContext& ctx,
                                     const VerifyOptions& opts = {});
@@ -258,13 +332,11 @@ class EvalContextPool {
 
 // --- TableMap (per-op) overloads --------------------------------------
 // The same oracles over a per-op placement table (strategy/table_map.hpp)
-// instead of an affine form.  Same dependence visit order, same branch
-// order, same floating-point addition sequence — bit-identical to the
-// legacy path on the lowered to_mapping(spec, tm) mapping, exactly as
-// the AffineMap overloads are pinned to theirs.  The table's per-value
-// input homes override the compiled home_pe (a move may re-home a
-// PE-resident value); DRAM/PE kinds never change.  The table must match
-// the compiled spec: num_points ops, num_input_values homes.
+// spanning every segment — one body with the AffineMap overloads, so the
+// two agree on every field for table_from_affine(cs, map).  The table's
+// per-value input homes override the compiled home_pe (a move may
+// re-home a PE-resident value); DRAM/PE kinds never change.  The table
+// must match the compiled spec: num_points ops, num_input_values homes.
 struct TableMap;
 
 [[nodiscard]] CostReport evaluate_cost(const CompiledSpec& cs,
@@ -277,5 +349,11 @@ struct TableMap;
 [[nodiscard]] bool verify_ok(const CompiledSpec& cs, const TableMap& tm,
                              EvalContext& ctx,
                              const VerifyOptions& opts = {});
+
+/// Recompute-instead-of-communicate analysis (fm/recompute.hpp) of the
+/// table: every remote computed-operand edge, priced move vs. depth-1
+/// recompute at the consumer.
+[[nodiscard]] RecomputeReport recompute_report(const CompiledSpec& cs,
+                                               const TableMap& tm);
 
 }  // namespace harmony::fm

@@ -5,11 +5,13 @@
 //  major source of delay and energy consumption — is made explicit."
 //
 // evaluate_cost() prices a mapping without executing it (no input data, no
-// value storage): one pass over the index domains accumulating compute
-// energy, movement energy per dependence edge, DRAM traffic, and the
-// schedule makespan.  It is the figure-of-merit oracle the mapping
-// autotuner (search.hpp) calls in its inner loop, and tests pin it to the
-// executing GridMachine's ledger (they must agree exactly).
+// value storage): compute energy, movement energy per dependence edge,
+// DRAM traffic, and the schedule makespan.  The body is the compiled
+// evaluator (fm/compiled.hpp) — the one the autotuner runs per candidate;
+// this overload over a closure Mapping is its front door (compile_spec +
+// table_from_mapping).  Tests pin it to the Mapping-walking reference
+// (tests/reference) and to the executing GridMachine's ledger (they must
+// agree exactly).
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,7 @@
 // Exact (value, PE) first-delivery tracking for the input-residency rule.
 //
-// The cost evaluator, the legality checker, and the executing machine
-// all share one pricing rule: an input value is routed to a consumer PE
+// The compiled evaluator, the reference oracles (tests/reference), and
+// the executing machine all share one pricing rule: an input value is routed to a consumer PE
 // once, then repeat uses on that PE are local SRAM reads.  They used to
 // track delivery with a packed `value_index * num_pes + pe` uint64 key,
 // which silently wraps once value_index exceeds 2^64 / num_pes and then
@@ -10,12 +10,12 @@
 // itself: the hash is only a distribution hint, equality is what decides
 // membership, so no spec size can alias.
 //
-// The mapping-search inner loop does not use this type — it runs on the
-// compiled path (fm/compiled.hpp), whose EvalContext assigns each input
-// value a dense ordinal at compile time and stamps an epoch table, which
-// is both faster and structurally immune to the same overflow.  This set
-// is the general-purpose variant for the one-shot oracles, where the
-// value index space is sparse and unbounded.
+// The compiled evaluator (fm/compiled.hpp) does not use this type: its
+// EvalContext assigns each input value a dense ordinal at compile time
+// and stamps an epoch table, which is both faster and structurally
+// immune to the same overflow.  This set is the general-purpose variant
+// for the GridMachine and the reference oracles, which walk closures
+// over a sparse, unbounded value index space.
 #pragma once
 
 #include <cstdint>

@@ -6,7 +6,8 @@
 //  bounds for elements in transit."
 //
 // verify() checks a (FunctionSpec, Mapping, MachineConfig) triple without
-// executing it:
+// executing it — the compiled body (fm/compiled.hpp) behind a front door
+// that compiles the triple and snapshots the mapping as a TableMap:
 //   1. causality + transit time   (always)
 //   2. PE exclusivity             (one element per (PE, cycle); always)
 //   3. storage bounds             (peak live values per PE; optional)

@@ -103,23 +103,10 @@ namespace {
 /// from `src` to `dst` (ports: 0=E, 1=W, 2=N, 3=S).
 void route_ports(HardwareSpec& hw, const MachineConfig& machine,
                  noc::Coord src, noc::Coord dst, std::size_t bits) {
-  const auto& geom = machine.geom;
-  noc::Coord at = src;
-  while (!(at == dst)) {
-    const noc::Coord next = geom.next_hop(at, dst);
-    int dir;
-    if (next.x == (at.x + 1) % geom.cols()) {
-      dir = 0;  // E
-    } else if (next.x != at.x) {
-      dir = 1;  // W
-    } else if (next.y == (at.y + 1) % geom.rows()) {
-      dir = 2;  // N
-    } else {
-      dir = 3;  // S
-    }
-    hw.pes[geom.index(at)].port_bits[static_cast<std::size_t>(dir)] += bits;
-    at = next;
-  }
+  machine.geom.for_each_route_link(src, dst, [&](std::size_t link) {
+    hw.pes[link / noc::GridGeometry::kLinksPerNode]
+        .port_bits[link % noc::GridGeometry::kLinksPerNode] += bits;
+  });
 }
 
 }  // namespace

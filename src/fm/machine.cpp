@@ -114,7 +114,7 @@ ExecutionResult GridMachine::run(
   const Length local_reach =
       cfg_.geom.pitch() * cfg_.local_access_pitch_fraction;
 
-  // Input values reside at a PE once delivered (see cost.cpp); repeat
+  // Input values reside at a PE once delivered (fm/cost.hpp); repeat
   // uses are local accesses.  Must mirror evaluate_cost exactly — tests
   // pin the two ledgers together.
   DeliveredSet delivered;

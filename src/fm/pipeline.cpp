@@ -119,20 +119,18 @@ struct StageCandidate {
   std::size_t src = 0;
 };
 
-/// The resolved input-home prototype of stage `s`, with producer
+/// The resolved input-home prototype of stage `st`, with producer
 /// bindings taking their committed winners — except `override_stage`,
 /// which (when `override_cand` is non-null) takes the candidate instead;
 /// that is how the co-tuner probes a consumer under a hypothetical
 /// producer layout.  Also accumulates the home fingerprint.
-Mapping build_proto(const Pipeline& pipe, std::size_t s,
-                    StrategyKind strategy,
+Mapping build_proto(const PipelineStage& st, StrategyKind strategy,
                     const std::vector<StageResult>& committed,
                     std::size_t override_stage,
                     const StageCandidate* override_cand,
                     std::uint64_t* fp_out) {
   HomeFp fp;
   Mapping proto;
-  const PipelineStage& st = pipe.stage(s);
   const std::vector<TensorId> ins = st.spec->input_tensors();
   for (std::size_t o = 0; o < ins.size(); ++o) {
     const StageInput& b = st.inputs[o];
@@ -284,7 +282,7 @@ PipelineResult tune_impl(const Pipeline& pipe, const MachineConfig& machine,
     const std::size_t want =
         paired ? std::max<std::size_t>(opts.pair_candidates, 1) : 1;
     std::uint64_t fp = 0;
-    const Mapping proto = build_proto(pipe, s, opts.strategy, out.stages,
+    const Mapping proto = build_proto(pipe.stage(s), opts.strategy, out.stages,
                                       pipe.size(), nullptr, &fp);
     StageRun run = run_stage(pipe, machine, opts, s, proto, fp, want);
     if (!run.complete) out.completed = false;
@@ -321,7 +319,7 @@ PipelineResult tune_impl(const Pipeline& pipe, const MachineConfig& machine,
           for (const std::size_t t : consumers) {
             std::uint64_t pfp = 0;
             const Mapping pproto =
-                build_proto(pipe, t, opts.strategy, out.stages, s,
+                build_proto(pipe.stage(t), opts.strategy, out.stages, s,
                             &run.cands[i], &pfp);
             const StageRun probe =
                 run_stage(pipe, machine, opts, t, pproto, pfp, 1);
@@ -407,8 +405,18 @@ Mapping stage_input_proto(const Pipeline& pipe, std::size_t s,
                     "stage_input_proto: producer stage has no committed "
                     "mapping");
   }
-  return build_proto(pipe, s, strategy, result.stages, pipe.size(), nullptr,
-                     nullptr);
+  return build_proto(pipe.stage(s), strategy, result.stages, pipe.size(),
+                     nullptr, nullptr);
+}
+
+Mapping external_input_proto(const PipelineStage& stage,
+                             std::uint64_t* home_fp) {
+  for (const StageInput& b : stage.inputs) {
+    HARMONY_REQUIRE(b.kind == StageInput::Kind::kExternal,
+                    "external_input_proto: stage has a producer binding");
+  }
+  return build_proto(stage, StrategyKind::kExhaustive, {}, 0, nullptr,
+                     home_fp);
 }
 
 Mapping stage_mapping(const Pipeline& pipe, std::size_t s,

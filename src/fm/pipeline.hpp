@@ -208,6 +208,13 @@ struct PipelineResult {
                                         StrategyKind strategy,
                                         const PipelineResult& result);
 
+/// The input-home prototype of a stage whose inputs are all external
+/// (InvalidArgument otherwise), and in `*home_fp` (when non-null) the
+/// home fingerprint PipelineOptions::compile receives for it — so a
+/// one-off query on the stage shares a compile key with a tune of it.
+[[nodiscard]] Mapping external_input_proto(const PipelineStage& stage,
+                                           std::uint64_t* home_fp);
+
 /// The full Mapping of stage `s`'s committed winner: stage_input_proto
 /// plus the affine winner on the stage target, or to_mapping of the
 /// table winner (a TableMap carries its own per-value input homes, which

@@ -5,7 +5,8 @@
 //  those points."
 //
 // recompute_report() walks every *remote* computed-operand edge of a
-// mapped computation and compares
+// mapped computation (the compiled dependence arrays, fm/compiled.hpp;
+// this Mapping overload compiles first) and compares
 //
 //   move cost      = wire energy of shipping the value along its route
 //   recompute cost = the producer's op energy + the energy of acquiring

@@ -62,7 +62,7 @@ struct Evaluator {
     if (cs.has_input_deps) {
       Cycle deficit = 0;
       std::int64_t lin = 0;
-      cs.domain.for_each([&](const Point& p) {
+      cs.segments.front().domain.for_each([&](const Point& p) {
         const auto v = static_cast<std::size_t>(lin++);
         const std::uint64_t lo = cs.dep_offsets[v];
         const std::uint64_t hi = cs.dep_offsets[v + 1];
@@ -190,6 +190,7 @@ SearchResult search_affine(const FunctionSpec& spec,
   // spec.  All lanes read it; each lane owns its own EvalContext scratch.
   std::shared_ptr<const CompiledSpec> cs = opts.compiled;
   if (cs == nullptr) cs = compile_spec(spec, machine, input_proto);
+  (void)cs->single("search_affine");
 
   // Sample points for the quick causality gate (deterministic stride).
   std::vector<Point> sample_pts;

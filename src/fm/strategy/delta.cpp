@@ -26,6 +26,7 @@ std::shared_ptr<const StrategySpec> build_strategy_spec(
   HARMONY_REQUIRE(cs != nullptr, "build_strategy_spec: null CompiledSpec");
   HARMONY_REQUIRE(makespan_slack >= 1.0,
                   "build_strategy_spec: makespan_slack must be >= 1");
+  (void)cs->single("build_strategy_spec");
   auto ss = std::make_shared<StrategySpec>();
   ss->cs = std::move(cs);
   const CompiledSpec& c = *ss->cs;
@@ -136,7 +137,7 @@ TableMap seed_table(const StrategySpec& ss) {
 
   TableMap tm;
   tm.target = cs.target;
-  tm.domain = cs.domain;
+  tm.domain = cs.segments.front().domain;
   tm.cols = cs.cols;
   tm.rows = cs.rows;
   tm.pe.resize(n);
@@ -175,8 +176,10 @@ DeltaEval::DeltaEval(std::shared_ptr<const StrategySpec> ss,
                      VerifyOptions opts)
     : ss_(std::move(ss)), opts_(opts) {
   HARMONY_REQUIRE(ss_ != nullptr, "DeltaEval: null StrategySpec");
+  const CompiledSegment& seg = ss_->cs->single("DeltaEval");
   P_ = ss_->cs->num_pes;
-  output_ = ss_->cs->target_is_output;
+  output_ = seg.is_output;
+  bits_ = static_cast<std::uint64_t>(seg.bits);
 }
 
 void DeltaEval::set_bad(std::uint64_t e, bool bad) {
@@ -218,16 +221,10 @@ void DeltaEval::hist_erase(Cycle c) {
 void DeltaEval::route_add(std::size_t from, std::size_t to, bool add) {
   if (from == to) return;
   const CompiledSpec& cs = *ss_->cs;
-  const auto bits = static_cast<std::uint64_t>(cs.bits);
-  const std::size_t r = from * P_ + to;
-  for (std::uint32_t o = cs.route_offsets[r]; o < cs.route_offsets[r + 1];
-       ++o) {
-    if (add) {
-      link_bits_[cs.route_links[o]] += bits;
-    } else {
-      link_bits_[cs.route_links[o]] -= bits;
-    }
-  }
+  // Unsigned wraparound: adding 2^64 - bits subtracts bits.
+  const std::uint64_t delta = add ? bits_ : std::uint64_t{0} - bits_;
+  cs.for_each_route_link(
+      from, to, [&](std::size_t link) { link_bits_[link] += delta; });
 }
 
 /// One on-chip transfer (or local access when from == to): the cost
@@ -243,8 +240,7 @@ void DeltaEval::movement_add(std::size_t from, std::size_t to, bool add) {
   }
   const CompiledSpec& cs = *ss_->cs;
   const std::uint64_t hops =
-      static_cast<std::uint64_t>(cs.bits) *
-      static_cast<std::uint64_t>(cs.hop_count[from * P_ + to]);
+      bits_ * static_cast<std::uint64_t>(cs.hop_count[from * P_ + to]);
   if (add) {
     ++n_transfer_[from * P_ + to];
     ++messages_;
@@ -624,7 +620,7 @@ CostReport DeltaEval::cost_report() const {
   rep.compute_energy = cs.compute_energy_total;
   rep.total_ops = cs.total_ops_total;
   rep.local_access_energy =
-      cs.sram_access * static_cast<double>(n_local_);
+      cs.segments.front().sram_access * static_cast<double>(n_local_);
   for (std::size_t q = 0; q < P_; ++q) {
     if (n_dram_[q] == 0) continue;
     rep.dram_energy +=

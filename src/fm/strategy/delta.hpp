@@ -170,6 +170,7 @@ class DeltaEval {
   TableMap tm_;
   std::size_t P_ = 1;
   bool output_ = false;
+  std::uint64_t bits_ = 32;  ///< the one segment's element width
 
   // Cost counters (exact integers).
   std::uint64_t n_local_ = 0;

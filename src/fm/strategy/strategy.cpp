@@ -296,6 +296,7 @@ StrategyResult search_table(const FunctionSpec& spec,
   std::shared_ptr<const CompiledSpec> cs =
       opts.compiled != nullptr ? opts.compiled
                                : compile_spec(spec, machine, input_proto);
+  (void)cs->single("search_table");
   HARMONY_REQUIRE(cs->num_points > 0,
                   "search_table: empty computation domain");
   const std::shared_ptr<const StrategySpec> ss =

@@ -8,23 +8,22 @@
 
 namespace harmony::fm {
 
-TableMap table_from_affine(const CompiledSpec& cs, const AffineMap& map) {
+namespace {
+
+/// The TableMap shell of `cs`: target/domain of the first segment, one
+/// (pe, cycle) slot per compiled point, and the input ordinals'
+/// exemplar references.  Input ordinals are dense and first-seen in deps
+/// order (compile_spec's try_emplace), so one pass over the flat edges
+/// recovers each ordinal's exemplar; `home(d)` supplies its home PE.
+template <typename Home>
+TableMap table_shell(const CompiledSpec& cs, Home&& home) {
   TableMap tm;
   tm.target = cs.target;
-  tm.domain = cs.domain;
+  if (!cs.segments.empty()) tm.domain = cs.segments.front().domain;
   tm.cols = cs.cols;
   tm.rows = cs.rows;
   tm.pe.resize(static_cast<std::size_t>(cs.num_points));
   tm.cycle.resize(static_cast<std::size_t>(cs.num_points));
-  std::int64_t lin = 0;
-  cs.domain.for_each([&](const Point& p) {
-    const auto v = static_cast<std::size_t>(lin++);
-    tm.pe[v] = static_cast<std::int32_t>(cs.pe_index(map.place(p)));
-    tm.cycle[v] = map.time(p);
-  });
-  // Input ordinals are dense and first-seen in deps order (compile_spec's
-  // try_emplace), so one pass over the flat edges recovers each ordinal's
-  // exemplar reference and compiled home.
   tm.input_home.assign(cs.num_input_values, -1);
   tm.input_refs.resize(cs.num_input_values);
   std::vector<char> seen(cs.num_input_values, 0);
@@ -33,45 +32,43 @@ TableMap table_from_affine(const CompiledSpec& cs, const AffineMap& map) {
     if (seen[d.input_ord] != 0) continue;
     seen[d.input_ord] = 1;
     tm.input_refs[d.input_ord] = TableMap::InputRef{d.tensor, d.point()};
-    tm.input_home[d.input_ord] =
-        d.kind == CompiledDep::kInputPe ? d.home_pe : -1;
+    if (d.kind == CompiledDep::kInputPe) tm.input_home[d.input_ord] = home(d);
   }
   return tm;
 }
 
-TableMap table_from_mapping(const CompiledSpec& cs, const Mapping& m) {
-  TableMap tm;
-  tm.target = cs.target;
-  tm.domain = cs.domain;
-  tm.cols = cs.cols;
-  tm.rows = cs.rows;
-  tm.pe.resize(static_cast<std::size_t>(cs.num_points));
-  tm.cycle.resize(static_cast<std::size_t>(cs.num_points));
+}  // namespace
+
+TableMap table_from_affine(const CompiledSpec& cs, const AffineMap& map) {
+  const CompiledSegment& seg = cs.single("table_from_affine");
+  TableMap tm = table_shell(cs, [](const CompiledDep& d) { return d.home_pe; });
   std::int64_t lin = 0;
-  cs.domain.for_each([&](const Point& p) {
+  seg.domain.for_each([&](const Point& p) {
     const auto v = static_cast<std::size_t>(lin++);
-    tm.pe[v] = static_cast<std::int32_t>(cs.pe_index(m.place(cs.target, p)));
-    tm.cycle[v] = m.time(cs.target, p);
+    tm.pe[v] = static_cast<std::int32_t>(cs.pe_index(map.place(p)));
+    tm.cycle[v] = map.time(p);
   });
-  // Same ordinal recovery as table_from_affine, with homes read from the
-  // mapping instead of the compiled snapshot.  The compiled kind stays
-  // authoritative for DRAM-vs-PE (it came from the same input proto).
-  tm.input_home.assign(cs.num_input_values, -1);
-  tm.input_refs.resize(cs.num_input_values);
-  std::vector<char> seen(cs.num_input_values, 0);
-  for (const CompiledDep& d : cs.deps) {
-    if (d.kind == CompiledDep::kComputed) continue;
-    if (seen[d.input_ord] != 0) continue;
-    seen[d.input_ord] = 1;
-    tm.input_refs[d.input_ord] = TableMap::InputRef{d.tensor, d.point()};
-    if (d.kind == CompiledDep::kInputPe) {
-      const InputHome& home = m.input_home(d.tensor);
-      tm.input_home[d.input_ord] =
-          home.kind == InputHome::Kind::kDram
-              ? d.home_pe
-              : static_cast<std::int32_t>(
-                    cs.pe_index(home.home_of(d.point())));
-    }
+  return tm;
+}
+
+TableMap table_from_mapping(const CompiledSpec& cs, const Mapping& m) {
+  // Homes are read from the mapping instead of the compiled snapshot; the
+  // compiled kind stays authoritative for DRAM-vs-PE (it came from the
+  // same input proto).  geom.index() bounds-checks every place.
+  TableMap tm = table_shell(cs, [&](const CompiledDep& d) {
+    const InputHome& home = m.input_home(d.tensor);
+    return home.kind == InputHome::Kind::kDram
+               ? d.home_pe
+               : static_cast<std::int32_t>(
+                     cs.geom.index(home.home_of(d.point())));
+  });
+  for (const CompiledSegment& seg : cs.segments) {
+    auto v = static_cast<std::size_t>(seg.first);
+    seg.domain.for_each([&](const Point& p) {
+      tm.pe[v] = static_cast<std::int32_t>(cs.geom.index(m.place(seg.tensor, p)));
+      tm.cycle[v] = m.time(seg.tensor, p);
+      ++v;
+    });
   }
   return tm;
 }

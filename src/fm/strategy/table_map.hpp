@@ -4,17 +4,17 @@
 // "One can systematically search the space of possible mappings" — but
 // the AffineMap family search_affine() enumerates is a vanishing slice
 // of that space.  A TableMap stores one (pe, cycle) per linearized
-// element of the target tensor and one home PE per input value, so
-// *every* legal mapping of a single-tensor spec is representable, at
-// the price of an O(n) representation instead of twelve coefficients.
+// computed element and one home PE per input value, so *every* legal
+// mapping is representable, at the price of an O(n) representation
+// instead of twelve coefficients.
 //
-// TableMap lowers into the existing machinery two ways:
-//   * to_mapping() builds a closure-based fm::Mapping, so the legacy
-//     oracles (evaluate_cost, verify), the linter, and the GridMachine
-//     all consume it unchanged;
-//   * compiled.hpp's TableMap overloads of evaluate_cost / verify /
-//     verify_ok run it through the CompiledSpec flat arrays, pinned
-//     bit-identical to the lowered-Mapping path by tests.
+// A TableMap is what the one evaluator reads: compiled.hpp's TableMap
+// overloads of evaluate_cost / verify / verify_ok / recompute_report and
+// analyze::lint_mapping run it through the CompiledSpec flat arrays.
+// Any closure Mapping reaches them through table_from_mapping(); that is
+// how the fm::evaluate_cost / verify / recompute_report front doors work.
+// to_mapping() goes the other way, for the GridMachine (which executes a
+// closure Mapping) and for the input-home kinds a compile needs.
 // The stochastic searchers (fm/strategy/strategy.hpp) mutate TableMaps
 // through the delta evaluator (fm/strategy/delta.hpp).
 #pragma once
@@ -31,15 +31,19 @@ namespace harmony::fm {
 
 struct CompiledSpec;  // fm/compiled.hpp
 
-/// Per-op/per-value placement table for a spec with one computed tensor.
-/// Op order is the row-major linearization of the target domain; input
-/// values use the CompiledSpec's dense ordinal numbering.
+/// Per-op/per-value placement table.  Op order is the CompiledSpec's
+/// linearization: segments (computed tensors) in computed_tensors()
+/// order, row-major within each; input values use its dense ordinal
+/// numbering.  The searchers produce single-tensor tables.
 struct TableMap {
+  /// The first computed tensor and its domain — the whole table for a
+  /// single-tensor spec (what the searchers, the wire and to_mapping
+  /// handle); a multi-tensor table's later segments follow in pe/cycle.
   TensorId target = -1;
   IndexDomain domain{1};
   int cols = 1, rows = 1;
-  /// Linear PE index and schedule cycle of each target element,
-  /// indexed by the row-major linearization of `domain`.
+  /// Linear PE index and schedule cycle of each computed element, by
+  /// global linear index.
   std::vector<std::int32_t> pe;
   std::vector<Cycle> cycle;
   /// Home PE per dense input-value ordinal; -1 means DRAM.  The kind is
@@ -62,7 +66,7 @@ struct TableMap {
     return noc::Coord{q % cols, q / cols};
   }
   /// max(0, max over elements of cycle + 1) — the same integers as the
-  /// legacy evaluator's per-point running max seeded at 0.
+  /// reference evaluator's per-point running max seeded at 0.
   [[nodiscard]] Cycle makespan_cycles() const {
     Cycle m = 0;
     for (const Cycle c : cycle) m = std::max(m, c + 1);
@@ -72,21 +76,24 @@ struct TableMap {
 
 /// The affine family embedded in the table space: snapshots `map` (and
 /// the compiled input homes) into a TableMap.  Used to seed searches
-/// from an affine winner and to pin table-vs-affine oracle parity.
+/// from an affine winner, to lint it, and to pin table-vs-affine oracle
+/// parity.  InvalidArgument on a multi-tensor spec.
 [[nodiscard]] TableMap table_from_affine(const CompiledSpec& cs,
                                          const AffineMap& map);
 
 /// Any closure Mapping embedded in the table space: snapshots the
-/// mapping's (place, time) per target element and its input homes per
-/// ordinal.  This is how non-affine hand mappings (serial, wavefront)
-/// reach consumers that speak TableMap — `harmony-lint --check-exec`
-/// lowers through here to build an execution witness.  The mapping must
-/// cover the compiled target tensor and every input tensor.
+/// mapping's (place, time) per computed element of every segment and its
+/// input homes per ordinal.  This is how the fm::evaluate_cost / verify
+/// / recompute_report front doors and the Mapping linter reach the
+/// compiled bodies, and how `harmony-lint --check-exec` builds an
+/// execution witness.  The mapping must cover every computed and input
+/// tensor; a place off the machine's grid fails geom.index()'s check.
 [[nodiscard]] TableMap table_from_mapping(const CompiledSpec& cs,
                                           const Mapping& m);
 
-/// Lowers a TableMap to the closure-based Mapping every legacy consumer
-/// (cost, legality, lint, GridMachine) understands.  Input tensors whose
+/// Lowers a single-tensor TableMap to a closure-based Mapping, for the
+/// executing GridMachine and for compiling with the table's input-home
+/// kinds (the TableMap lint front door).  Input tensors whose
 /// ordinals are DRAM-homed get InputHome::dram(); PE-homed tensors get a
 /// distributed closure over the table's per-value homes (unreferenced
 /// elements of the tensor default to PE 0 — no oracle ever asks for

@@ -25,20 +25,6 @@ GridGeometry::GridGeometry(int cols, int rows, Length pitch,
                   "GridGeometry: pitch must be positive");
 }
 
-int GridGeometry::axis_delta(int from, int to, int extent) const {
-  // Signed step count along one axis: positive = increasing coordinate.
-  int fwd = to - from;
-  if (topology_ == Topology::kMesh || extent <= 2) return fwd;
-  // Torus: pick the shorter way around (ties go the increasing way).
-  int alt = fwd > 0 ? fwd - extent : fwd + extent;
-  if (fwd == 0) return 0;
-  // On a tie (|delta| == extent/2) both ways are equally short; `fwd`
-  // alone would go whichever way the operand order happened to point,
-  // making hops(a,b) routes disagree with hops(b,a) routes.
-  if (std::abs(fwd) == std::abs(alt)) return std::max(fwd, alt);
-  return std::abs(fwd) < std::abs(alt) ? fwd : alt;
-}
-
 int GridGeometry::hops(Coord a, Coord b) const {
   HARMONY_ASSERT(contains(a) && contains(b));
   return std::abs(axis_delta(a.x, b.x, cols_)) +
@@ -100,22 +86,6 @@ Time GridGeometry::dram_access_latency(std::size_t bits, Coord c) const {
   return tech_.move_delay(distance_to_memory(c)) + tech_.offchip_latency;
 }
 
-namespace {
-
-/// Decodes which directed link a one-step move along a single axis
-/// uses.  Plain adjacency is tested first: on a 2-extent torus the +1
-/// and -1 neighbours coincide (and the router treats extent <= 2 as
-/// mesh-like), so the non-wrap reading is the correct one there.  What
-/// remains are the wrap steps off either edge.
-MeshNetwork::Dir step_dir(int from, int to, int extent, MeshNetwork::Dir inc,
-                          MeshNetwork::Dir dec) {
-  if (to == from + 1) return inc;
-  if (to == from - 1) return dec;
-  return to == 0 && from == extent - 1 ? inc : dec;
-}
-
-}  // namespace
-
 MeshNetwork::MeshNetwork(GridGeometry geom, double link_bits_per_ps)
     : geom_(geom),
       link_bw_(link_bits_per_ps),
@@ -139,31 +109,18 @@ MeshNetwork::Delivery MeshNetwork::send(Coord src, Coord dst,
       Time::picoseconds(static_cast<double>(bits) / link_bw_);
   const Time hop_wire = geom_.tech().move_delay(geom_.pitch());
 
-  Coord at = src;
   Time t = when;
-  // Dimension-ordered routing via the geometry's next_hop (wrap-aware on
-  // a torus).  Store-and-forward: the whole message serializes onto each
-  // link after the link frees up.
-  while (!(at == dst)) {
-    const Coord next = geom_.next_hop(at, dst);
-    // Decode the link from the axis that actually changed (next_hop
-    // moves along exactly one axis per step).  The earlier modular
-    // comparisons were vacuously true for east on one-column grids
-    // (charging y-hops to the east link) and true for both east and
-    // west on two-column ones (west traffic contending on east).
-    const Dir dir = next.x != at.x
-                        ? step_dir(at.x, next.x, geom_.cols(), kEast, kWest)
-                        : step_dir(at.y, next.y, geom_.rows(), kNorth, kSouth);
-    const std::size_t link = link_id(at, dir);
+  // Store-and-forward along the dimension-ordered route: the whole
+  // message serializes onto each link after the link frees up.
+  geom_.for_each_route_link(src, dst, [&](std::size_t link) {
     const Time start = std::max(t, busy_until_[link]);
     const Time done = start + serialization + hop_wire;
     busy_until_[link] = done;
     link_bits_[link] += bits;
     bit_hops_ += bits;
     t = done;
-    at = next;
     ++d.hops;
-  }
+  });
   d.arrival = t;
   d.energy = geom_.tech().move_energy(
       bits, geom_.pitch() * static_cast<double>(d.hops));

@@ -64,10 +64,33 @@ class GridGeometry {
   /// a torus).
   [[nodiscard]] int hops(Coord a, Coord b) const;
   /// One step of the dimension-ordered (X then Y) route from `at`
-  /// toward `dst`; `at` must differ from `dst`.  The single source of
-  /// truth for routing — the mesh simulator, the bandwidth checker, and
-  /// the hardware lowering all walk routes through this.
+  /// toward `dst`; `at` must differ from `dst`.
   [[nodiscard]] Coord next_hop(Coord at, Coord dst) const;
+
+  /// Directed links out of a node, numbered `index(node) * 4 + dir`.
+  enum LinkDir : int { kEast = 0, kWest = 1, kNorth = 2, kSouth = 3 };
+  static constexpr std::size_t kLinksPerNode = 4;
+
+  /// Walks the dimension-ordered route from `a` to `b` — the hops
+  /// next_hop() takes — calling `on_link(id)` with the directed-link id
+  /// of each hop.  The single source of truth for link attribution: the
+  /// mesh simulator and the hardware lowering charge traffic through
+  /// this, and the compiled bandwidth check and delta evaluator through
+  /// the route legs fm::compile_spec records from it.  A hop's
+  /// direction is the sign of its axis step, so one- and two-wide axes
+  /// (where `(x + 1) % cols` matches every neighbour) decode correctly.
+  template <typename F>
+  void for_each_route_link(Coord a, Coord b, F&& on_link) const {
+    HARMONY_ASSERT(contains(a) && contains(b));
+    constexpr auto kL = static_cast<std::ptrdiff_t>(kLinksPerNode);
+    const auto cols = static_cast<std::ptrdiff_t>(cols_);
+    // X leg along row a.y, then Y leg along column b.x.
+    walk_leg(a.x, axis_delta(a.x, b.x, cols_), cols_,
+             (a.y * cols + a.x) * kL, kL, kEast, kWest, on_link);
+    walk_leg(a.y, axis_delta(a.y, b.y, rows_), rows_,
+             (a.y * cols + b.x) * kL, cols * kL, kNorth, kSouth, on_link);
+  }
+
   /// Physical length of the XY route.
   [[nodiscard]] Length distance(Coord a, Coord b) const;
 
@@ -93,7 +116,44 @@ class GridGeometry {
   [[nodiscard]] Time dram_access_latency(std::size_t bits, Coord c) const;
 
  private:
-  [[nodiscard]] int axis_delta(int from, int to, int extent) const;
+  /// One axis leg of a route: `delta` hops from coordinate `from` on an
+  /// axis of `extent` nodes, starting at link-id base `id` (the node's
+  /// first link id) with `stride` ids per node.  A torus leg runs off
+  /// the edge at most once; its ids then continue from the other edge.
+  template <typename F>
+  static void walk_leg(int from, int delta, int extent, std::ptrdiff_t id,
+                       std::ptrdiff_t stride, LinkDir inc, LinkDir dec,
+                       F& on_link) {
+    if (delta == 0) return;
+    const int n = delta > 0 ? delta : -delta;
+    const std::ptrdiff_t step = delta > 0 ? stride : -stride;
+    const int to_edge = delta > 0 ? extent - from : from + 1;
+    const int first = n < to_edge ? n : to_edge;
+    id += delta > 0 ? inc : dec;
+    for (int k = 0; k < first; ++k, id += step) {
+      on_link(static_cast<std::size_t>(id));
+    }
+    id -= step * extent;
+    for (int k = first; k < n; ++k, id += step) {
+      on_link(static_cast<std::size_t>(id));
+    }
+  }
+
+  /// Signed step count along one axis: positive = increasing coordinate.
+  [[nodiscard]] int axis_delta(int from, int to, int extent) const {
+    const int fwd = to - from;
+    if (topology_ == Topology::kMesh || extent <= 2 || fwd == 0) return fwd;
+    // Torus: pick the shorter way around.  On a tie (|delta| ==
+    // extent/2) both ways are equally short; `fwd` alone would go
+    // whichever way the operand order happened to point, making
+    // hops(a,b) routes disagree with hops(b,a) routes, so ties go the
+    // increasing way.
+    const int alt = fwd > 0 ? fwd - extent : fwd + extent;
+    const int afwd = fwd < 0 ? -fwd : fwd;
+    const int aalt = alt < 0 ? -alt : alt;
+    if (afwd == aalt) return fwd > alt ? fwd : alt;
+    return afwd < aalt ? fwd : alt;
+  }
 
   int cols_;
   int rows_;
@@ -108,10 +168,16 @@ class MeshNetwork {
   /// `link_bits_per_ps`: link bandwidth.  Default 0.064 bits/ps = 64 Gb/s.
   explicit MeshNetwork(GridGeometry geom, double link_bits_per_ps = 0.064);
 
-  /// Directed link direction out of a node (4 links per node).  Public
-  /// so link-level accounting (link_bits below) is testable: direction
-  /// decoding bugs show up as traffic attributed to the wrong link.
-  enum Dir : int { kEast = 0, kWest = 1, kNorth = 2, kSouth = 3 };
+  /// Directed link direction out of a node (4 links per node), the same
+  /// numbering as GridGeometry::LinkDir.  Public so link-level
+  /// accounting (link_bits below) is testable: direction decoding bugs
+  /// show up as traffic attributed to the wrong link.
+  enum Dir : int {
+    kEast = GridGeometry::kEast,
+    kWest = GridGeometry::kWest,
+    kNorth = GridGeometry::kNorth,
+    kSouth = GridGeometry::kSouth,
+  };
 
   struct Delivery {
     Time arrival = Time::zero();
@@ -142,7 +208,8 @@ class MeshNetwork {
  private:
   // Directed link id: 4 per node (E,W,N,S).
   [[nodiscard]] std::size_t link_id(Coord from, Dir d) const {
-    return geom_.index(from) * 4 + static_cast<std::size_t>(d);
+    return geom_.index(from) * GridGeometry::kLinksPerNode +
+           static_cast<std::size_t>(d);
   }
 
   GridGeometry geom_;

@@ -8,6 +8,8 @@
 
 #include "analyze/exec.hpp"
 #include "analyze/lint.hpp"
+#include "fm/compiled.hpp"
+#include "fm/strategy/table_map.hpp"
 #include "sched/parallel_ops.hpp"
 #include "trace/trace.hpp"
 
@@ -22,24 +24,15 @@ fm::InputHome input_home(const Request& req, std::size_t idx) {
       .to_home();
 }
 
-/// Builds the full Mapping a request describes: the AffineMap on the
-/// single computed tensor plus the declared input homes.
-fm::Mapping materialize_mapping(const Request& req,
-                                const fm::AffineMap& map) {
-  const auto computed = req.spec->computed_tensors();
-  HARMONY_REQUIRE(computed.size() == 1,
-                  "serve: spec must have exactly one computed tensor");
-  // AffineMap::place wraps modulo the map's grid: a zero extent (say,
-  // from a hostile wire frame) would divide by zero.
-  HARMONY_REQUIRE(map.cols > 0 && map.rows > 0,
-                  "serve: map.cols and map.rows must be positive");
-  fm::Mapping m;
-  const auto inputs = req.spec->input_tensors();
-  for (std::size_t idx = 0; idx < inputs.size(); ++idx) {
-    m.set_input(inputs[idx], input_home(req, idx));
+/// The one stage a single-spec request (cost eval, legality, tune)
+/// works on: req.spec with its inputs bound to the request's homes.
+fm::PipelineStage request_stage(const Request& req) {
+  fm::PipelineStage stage{"tune", req.spec, {}};
+  const std::size_t n_inputs = req.spec->input_tensors().size();
+  for (std::size_t idx = 0; idx < n_inputs; ++idx) {
+    stage.inputs.push_back(fm::StageInput::external(input_home(req, idx)));
   }
-  m.set_computed(computed[0], map.place_fn(), map.time_fn());
-  return m;
+  return stage;
 }
 
 }  // namespace
@@ -243,14 +236,21 @@ Response Service::execute(const Pending& p) {
   r.kind = req.kind;
   try {
     switch (req.kind) {
-      case RequestKind::kCostEval: {
-        const fm::Mapping m = materialize_mapping(req, req.map);
-        r.cost = fm::evaluate_cost(*req.spec, m, req.machine);
-        break;
-      }
+      case RequestKind::kCostEval:
       case RequestKind::kLegality: {
-        const fm::Mapping m = materialize_mapping(req, req.map);
-        r.legality = fm::verify(*req.spec, m, req.machine, req.verify);
+        // Through the compile cache, under the key a tune of the same
+        // spec, machine and homes uses.
+        const fm::PipelineStage stage = request_stage(req);
+        std::uint64_t home_fp = 0;
+        const fm::Mapping proto = fm::external_input_proto(stage, &home_fp);
+        const auto cs =
+            compiled_for_stage(stage, req.machine, proto, home_fp);
+        fm::EvalContext ctx(*cs);
+        if (req.kind == RequestKind::kCostEval) {
+          r.cost = fm::evaluate_cost(*cs, req.map, ctx);
+        } else {
+          r.legality = fm::verify(*cs, req.map, ctx, req.verify);
+        }
         break;
       }
       case RequestKind::kTune:
@@ -275,14 +275,7 @@ void Service::execute_tune(const Pending& p, Response& r) {
   // entries) — fm::PipelineOptions promises that reproduces a plain
   // search bit for bit.
   fm::Pipeline one;
-  if (single) {
-    fm::PipelineStage stage{"tune", req.spec, {}};
-    const std::size_t n_inputs = req.spec->input_tensors().size();
-    for (std::size_t idx = 0; idx < n_inputs; ++idx) {
-      stage.inputs.push_back(fm::StageInput::external(input_home(req, idx)));
-    }
-    one.add_stage(std::move(stage));
-  }
+  if (single) one.add_stage(request_stage(req));
   const fm::Pipeline& pipe = single ? one : *req.pipeline;
   const bool exhaustive = req.strategy == fm::StrategyKind::kExhaustive;
 
@@ -355,15 +348,16 @@ void Service::execute_tune(const Pending& p, Response& r) {
   // Certify every committed stage winner with its *resolved* input
   // homes through the linter (a mapping can win the merit race and
   // still carry smells — idle PEs, hot links — the caller should see)
-  // and the independent axiom checker.  A clean chain means every
-  // handoff the cost model priced is one the relational model agrees
-  // is legal.
+  // and the independent axiom checker, both on the stage's compiled
+  // spec already in hand.  A clean chain means every handoff the cost
+  // model priced is one the relational model agrees is legal.
   if (res.found) {
     for (std::size_t s = 0; s < pipe.size(); ++s) {
       const fm::StageResult& st = res.stages[s];
       const auto lint = analyze::lint_mapping(
-          *pipe.stage(s).spec, fm::stage_mapping(pipe, s, req.strategy, res),
-          req.machine);
+          *compiled[s],
+          exhaustive ? fm::table_from_affine(*compiled[s], st.affine)
+                     : st.table);
       r.lint.insert(r.lint.end(), lint.diagnostics.begin(),
                     lint.diagnostics.end());
       check_winner_exec(

@@ -10,6 +10,7 @@
 #include <condition_variable>
 #include <deque>
 #include <limits>
+#include <type_traits>
 #include <mutex>
 
 #include "serve/catalog.hpp"
@@ -247,6 +248,31 @@ int read_int(Reader& r, const char* what) {
   return static_cast<int>(v);
 }
 
+/// A search budget: at most `max` (the kMaxWire* bounds).
+template <typename T>
+T read_budget(Reader& r, const char* what, T max) {
+  T v;
+  if constexpr (std::is_same_v<T, int>) {
+    v = read_int(r, what);
+  } else {
+    v = r.u64();
+  }
+  if (v > max) {
+    throw WireError(std::string("Request: ") + what + " exceeds " +
+                    std::to_string(max));
+  }
+  return v;
+}
+
+std::vector<std::int64_t> read_coeffs(Reader& r, const char* what) {
+  std::vector<std::int64_t> v = r.vec_i64();
+  if (v.size() > kMaxWireCoeffs) {
+    throw WireError(std::string("Request: ") + what + " pool exceeds " +
+                    std::to_string(kMaxWireCoeffs) + " coefficients");
+  }
+  return v;
+}
+
 /// No oracle is defined on NaN or infinity.
 double read_finite(Reader& r, const char* what) {
   const double v = r.f64();
@@ -356,14 +382,14 @@ void encode_search_options(Writer& w, const fm::SearchOptions& s) {
 
 fm::SearchOptions decode_search_options(Reader& r) {
   fm::SearchOptions s;
-  s.space.time_coeffs = r.vec_i64();
-  s.space.space_coeffs = r.vec_i64();
+  s.space.time_coeffs = read_coeffs(r, "time_coeffs");
+  s.space.space_coeffs = read_coeffs(r, "space_coeffs");
   s.space.search_y = r.b();
   s.fom = read_fom(r);
   s.verify = decode_verify(r);
-  s.quick_sample = r.u64();
+  s.quick_sample = read_budget(r, "quick_sample", kMaxWireQuickSample);
   s.makespan_slack = read_finite(r, "makespan slack");
-  s.top_k = r.u64();
+  s.top_k = read_budget(r, "top_k", kMaxWireTopK);
   s.keep_all_legal = r.b();
   return s;
 }
@@ -390,16 +416,17 @@ fm::StrategyOptions decode_strategy_options(Reader& r) {
   s.fom = read_fom(r);
   s.verify = decode_verify(r);
   s.seed = r.u64();
-  s.chains = read_int(r, "chains");
-  s.iters_per_epoch = read_int(r, "iters_per_epoch");
-  s.epochs = read_int(r, "epochs");
+  s.chains = read_budget(r, "chains", kMaxWireChains);
+  s.iters_per_epoch =
+      read_budget(r, "iters_per_epoch", kMaxWireItersPerEpoch);
+  s.epochs = read_budget(r, "epochs", kMaxWireEpochs);
   s.t0_fraction = read_finite(r, "t0_fraction");
   s.cooling = read_finite(r, "cooling");
   s.stall_epochs = read_int(r, "stall_epochs");
   s.max_reheats = read_int(r, "max_reheats");
   s.makespan_slack = read_finite(r, "makespan slack");
-  s.beam_width = read_int(r, "beam_width");
-  s.beam_moves = read_int(r, "beam_moves");
+  s.beam_width = read_budget(r, "beam_width", kMaxWireBeamWidth);
+  s.beam_moves = read_budget(r, "beam_moves", kMaxWireBeamMoves);
   return s;
 }
 
@@ -659,7 +686,8 @@ Request decode_request(Reader& r, SpecCatalog& catalog) {
     case RequestKind::kPipelineTune:
       if (pipeline) {
         req.pipeline_paired = r.b();
-        req.pipeline_pair_candidates = r.u64();
+        req.pipeline_pair_candidates = read_budget(
+            r, "pipeline_pair_candidates", kMaxWirePairCandidates);
       }
       req.strategy = static_cast<fm::StrategyKind>(read_enum(
           r, static_cast<std::uint8_t>(fm::StrategyKind::kBeam), "strategy"));

@@ -166,13 +166,30 @@ void encode(Writer& w, const Request& req, const SpecCatalog& catalog);
 
 /// Rebuilds a Request, its spec or pipeline from `catalog`.  Throws
 /// WireError on a malformed body, an unknown or over-budget name
-/// (SpecCatalog), or a grid of more than kMaxWireGridPes PEs.
+/// (SpecCatalog), a grid of more than kMaxWireGridPes PEs, or a search
+/// budget above its kMaxWire* bound.
 [[nodiscard]] Request decode_request(Reader& r, SpecCatalog& catalog);
 
 /// Largest machine a request may name: far above any grid in use (64
 /// PEs), far below where the compiled P x P tables or
 /// GridGeometry::num_nodes() blow up.
 inline constexpr std::int64_t kMaxWireGridPes = 1024;
+
+/// Largest search budgets a request may carry.  A shard sizes per-chain,
+/// per-beam-state, top-k and coefficient-pool buffers from these, so a
+/// frame must not name them up to INT_MAX or 2^64.  Each sits far above
+/// the library defaults (chains 4, iters 256, epochs 64, beam 8x32,
+/// top_k 5, quick_sample 64, 3-entry pools, 4 pair candidates) and
+/// every value the serve tests and benches send.
+inline constexpr int kMaxWireChains = 256;
+inline constexpr int kMaxWireItersPerEpoch = 1 << 16;
+inline constexpr int kMaxWireEpochs = 1 << 16;
+inline constexpr int kMaxWireBeamWidth = 1024;
+inline constexpr int kMaxWireBeamMoves = 4096;
+inline constexpr std::uint64_t kMaxWireTopK = 4096;
+inline constexpr std::uint64_t kMaxWireQuickSample = 1 << 16;
+inline constexpr std::size_t kMaxWireCoeffs = 64;
+inline constexpr std::uint64_t kMaxWirePairCandidates = 64;
 
 /// Reply body: every Response field, with two abridgements.  Of an
 /// exhaustive SearchResult (the reply's and each pipeline stage's) only

@@ -1,20 +1,26 @@
-// Compiled candidate evaluation (fm/compiled.hpp): bit-exact parity of
-// the flat fast path against the legacy FunctionSpec oracles and the
-// executing GridMachine ledger, the delivered-set key-packing overflow
+// Compiled evaluation (fm/compiled.hpp): bit-exact parity of the one
+// production evaluator against the reference oracles (tests/reference)
+// and the executing GridMachine ledger, multi-tensor specs included, the delivered-set key-packing overflow
 // regression, EvalContext reuse, and pre-compiled parallel search parity.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "algos/editdist.hpp"
+#include "algos/fft.hpp"
+#include "analyze/exec.hpp"
 #include "algos/specs.hpp"
 #include "fm/compiled.hpp"
 #include "fm/idioms.hpp"
 #include "fm/search.hpp"
+#include "fm/strategy/delta.hpp"
+#include "fm/strategy/strategy.hpp"
 #include "fm/strategy/table_map.hpp"
+#include "reference/reference.hpp"
 #include "sched/scheduler.hpp"
 
 namespace harmony::fm {
@@ -146,10 +152,10 @@ TEST(CompiledCost, FourBranchSpecMatchesLegacyAndMachineLedger) {
   const Mapping mapping = materialize(f.spec, f.y, amap, proto);
 
   // Sanity: the schedule is legal, and every branch is actually hit.
-  const LegalityReport legal = verify(f.spec, mapping, cfg);
+  const LegalityReport legal = reference::verify(f.spec, mapping, cfg);
   ASSERT_TRUE(legal.ok) << legal.first_message();
 
-  const CostReport legacy = evaluate_cost(f.spec, mapping, cfg);
+  const CostReport legacy = reference::evaluate_cost(f.spec, mapping, cfg);
   EXPECT_GT(legacy.dram_energy.femtojoules(), 0.0);       // a via DRAM
   EXPECT_GT(legacy.local_access_energy.femtojoules(), 0.0);  // SRAM hits
   EXPECT_GT(legacy.onchip_movement_energy.femtojoules(), 0.0);  // transfers
@@ -210,7 +216,7 @@ TEST(CompiledCost, DeliveredKeyPackingOverflowRegression) {
   const AffineMap amap{.ti = 1, .cols = 2, .rows = 2};  // both at PE 0
   const Mapping mapping = materialize(spec, /*target=*/1, amap, proto);
 
-  const CostReport legacy = evaluate_cost(spec, mapping, cfg);
+  const CostReport legacy = reference::evaluate_cost(spec, mapping, cfg);
   const Energy one_access = cfg.geom.dram_access_energy(32, {0, 0});
   EXPECT_EQ(legacy.dram_energy.femtojoules(),
             (one_access + one_access).femtojoules());
@@ -237,7 +243,7 @@ TEST(CompiledVerify, ViolatingSchedulesReportIdenticallyToLegacy) {
 
   for (const AffineMap& amap : {collide, negative}) {
     const Mapping mapping = materialize(f.spec, f.y, amap, proto);
-    const LegalityReport legacy = verify(f.spec, mapping, cfg);
+    const LegalityReport legacy = reference::verify(f.spec, mapping, cfg);
     EXPECT_FALSE(legacy.ok);
     expect_legality_identical(verify(*cs, amap, ctx), legacy);
   }
@@ -261,7 +267,7 @@ TEST(CompiledCost, EvalContextReuseAcrossCandidatesIsClean) {
   (void)verify(*cs, other, ctx);
   expect_cost_identical(evaluate_cost(*cs, good, ctx), first);
   expect_legality_identical(verify(*cs, good, ctx),
-                            verify(f.spec, materialize(f.spec, f.y, good,
+                            reference::verify(f.spec, materialize(f.spec, f.y, good,
                                                        proto), cfg));
 }
 
@@ -376,8 +382,8 @@ TEST(CompiledSearch, WinnersMatchLegacyOraclesExactly) {
   const TensorId target = spec.computed_tensors()[0];
   for (const Candidate& c : r.all_legal) {
     const Mapping m = materialize(spec, target, c.map, proto);
-    EXPECT_TRUE(verify(spec, m, cfg).ok) << "slot " << c.slot;
-    expect_cost_identical(c.cost, evaluate_cost(spec, m, cfg));
+    EXPECT_TRUE(reference::verify(spec, m, cfg).ok) << "slot " << c.slot;
+    expect_cost_identical(c.cost, reference::evaluate_cost(spec, m, cfg));
   }
 }
 
@@ -421,6 +427,264 @@ TEST(CompiledSearch, PrecompiledSharedAcrossParallelLanesMatchesSerial) {
   for (std::size_t i = 0; i < serial.all_legal.size(); ++i) {
     EXPECT_EQ(parallel.all_legal[i].slot, serial.all_legal[i].slot);
     EXPECT_EQ(parallel.all_legal[i].merit, serial.all_legal[i].merit);
+  }
+}
+
+void expect_recompute_identical(const RecomputeReport& a,
+                                const RecomputeReport& b) {
+  EXPECT_EQ(a.remote_edges, b.remote_edges);
+  EXPECT_EQ(a.feasible_edges, b.feasible_edges);
+  EXPECT_EQ(a.profitable_edges, b.profitable_edges);
+  EXPECT_EQ(a.move_energy.femtojoules(), b.move_energy.femtojoules());
+  EXPECT_EQ(a.best_energy.femtojoules(), b.best_energy.femtojoules());
+}
+
+/// Every front door (compile_spec + table_from_mapping + the compiled
+/// body) against the reference oracle, under the default checks, a
+/// diagnostic cap of one and with storage/bandwidth off.
+void expect_front_doors_match_reference(const FunctionSpec& spec,
+                                        const Mapping& m,
+                                        const MachineConfig& cfg) {
+  expect_cost_identical(evaluate_cost(spec, m, cfg),
+                        reference::evaluate_cost(spec, m, cfg));
+  VerifyOptions capped;
+  capped.max_messages = 1;
+  VerifyOptions unchecked;
+  unchecked.check_storage = false;
+  unchecked.check_bandwidth = false;
+  for (const VerifyOptions& opts : {VerifyOptions{}, capped, unchecked}) {
+    expect_legality_identical(verify(spec, m, cfg, opts),
+                              reference::verify(spec, m, cfg, opts));
+  }
+  expect_recompute_identical(recompute_report(spec, m, cfg),
+                             reference::recompute_report(spec, m, cfg));
+}
+
+/// s = 2a feeds b (the FM104 fixture): two computed tensors, one of them
+/// depth-1 recomputable, with 16-bit b so the segments price with two
+/// energy tables.
+struct TwoTensor {
+  FunctionSpec spec;
+  TensorId a = -1, s = -1, b = -1;
+};
+
+TwoTensor two_tensor_spec(std::int64_t n) {
+  TwoTensor f;
+  f.a = f.spec.add_input("a", IndexDomain(n), 32);
+  f.s = f.spec.add_computed(
+      "s", IndexDomain(n),
+      [a = f.a](const Point& p) { return std::vector<ValueRef>{{a, p}}; },
+      [](const Point&, const std::vector<double>& v) { return 2.0 * v[0]; },
+      OpCost{.ops = 1.0, .bits = 32});
+  f.b = f.spec.add_computed(
+      "b", IndexDomain(n),
+      [s = f.s](const Point& p) { return std::vector<ValueRef>{{s, p}}; },
+      [](const Point&, const std::vector<double>& v) { return v[0] + 1.0; },
+      OpCost{.ops = 2.0, .bits = 16});
+  f.spec.mark_output(f.b);
+  return f;
+}
+
+TEST(CompiledMultiTensor, FrontDoorsMatchReferenceOnEveryField) {
+  int cases = 0, legal = 0, illegal = 0;
+  const auto run = [&](const FunctionSpec& spec, const Mapping& m,
+                       const MachineConfig& cfg) {
+    SCOPED_TRACE("case " + std::to_string(cases));
+    ASSERT_GT(compile_spec(spec, cfg, m)->segments.size(), 1u);
+    expect_front_doors_match_reference(spec, m, cfg);
+    (reference::verify(spec, m, cfg).ok ? legal : illegal) += 1;
+    ++cases;
+  };
+
+  // FFT: Xr and Xi over (log2 n + 1, n), element j on PE (j mod g,
+  // j / g) of a g x g grid, one stage per time block — legal with
+  // inputs on chip or in DRAM; with a one-cycle block it collides and
+  // reads late; on a starved machine it overflows storage and links.
+  const std::int64_t n = 16;
+  const int g = 4;
+  const FunctionSpec fft = algos::fft_spec(n, /*dif=*/false);
+  for (const Cycle block : {Cycle{24}, Cycle{1}}) {
+    for (const bool dram : {false, true}) {
+      Mapping m;
+      for (const TensorId t : fft.computed_tensors()) {
+        m.set_computed(
+            t,
+            [g](const Point& p) {
+              return noc::Coord{static_cast<int>(p.j % g),
+                                static_cast<int>(p.j / g)};
+            },
+            [block, t](const Point& p) {
+              return block + p.i * block + (t % 2 == 0 ? 0 : 1);
+            });
+      }
+      for (const TensorId t : fft.input_tensors()) {
+        m.set_input(t, dram ? InputHome::dram() : InputHome::at({1, 2}));
+      }
+      MachineConfig cfg = make_machine(g, g);
+      run(fft, m, cfg);
+      cfg.pe_capacity_values = 3;
+      cfg.link_bits_per_cycle = 2.0;
+      run(fft, m, cfg);
+    }
+  }
+
+  // Weight-stationary conv: three computed tensors (wload, xflow, y).
+  const algos::ConvWsBuild conv = algos::conv1d_weight_stationary(8, 3);
+  MachineConfig conv_cfg = make_machine(3, 1);
+  run(conv.spec, conv.mapping, conv_cfg);
+  conv_cfg.pe_capacity_values = 4;
+  conv_cfg.link_bits_per_cycle = 8.0;
+  run(conv.spec, conv.mapping, conv_cfg);
+  Mapping squashed = conv.mapping;  // everything at cycle 0
+  for (const TensorId t : conv.spec.computed_tensors()) {
+    squashed.set_computed(
+        t, [&conv, t](const Point& p) { return conv.mapping.place(t, p); },
+        [](const Point&) { return Cycle{0}; });
+  }
+  run(conv.spec, squashed, make_machine(3, 1));
+
+  // The FM104 fixture: legal (recompute profitable) and too early.
+  const TwoTensor tt = two_tensor_spec(16);
+  for (const Cycle b_start : {Cycle{64}, Cycle{0}}) {
+    Mapping m;
+    m.set_computed(tt.s, [](const Point&) { return noc::Coord{0, 0}; },
+                   [](const Point& p) { return Cycle{p.i + 16}; });
+    m.set_computed(
+        tt.b,
+        [](const Point& p) { return noc::Coord{static_cast<int>(p.i), 0}; },
+        [b_start](const Point& p) { return Cycle{p.i + b_start}; });
+    m.set_input(tt.a, InputHome::distributed([](const Point& p) {
+                  return noc::Coord{static_cast<int>(p.i), 0};
+                }));
+    run(tt.spec, m, make_machine(16, 1));
+  }
+  EXPECT_EQ(cases, 13);
+  EXPECT_GT(legal, 0);
+  EXPECT_GT(illegal, 0);
+}
+
+TEST(CompiledMultiTensor, SingleTensorConsumersRefuseMultiSegmentSpecs) {
+  const FunctionSpec fft = algos::fft_spec(8, /*dif=*/false);
+  const MachineConfig cfg = make_machine(4, 1);
+  const Mapping serial = serial_mapping(fft);
+  const auto cs = compile_spec(fft, cfg, serial);
+  ASSERT_EQ(cs->segments.size(), 2u);
+  EXPECT_EQ(cs->num_points,
+            2 * fft.domain(fft.computed_tensors()[0]).size());
+  EvalContext ctx(*cs);
+  const AffineMap map{.ti = 1, .cols = 4, .rows = 1};
+  EXPECT_THROW((void)evaluate_cost(*cs, map, ctx), InvalidArgument);
+  EXPECT_THROW((void)verify(*cs, map, ctx), InvalidArgument);
+  EXPECT_THROW((void)verify_ok(*cs, map, ctx), InvalidArgument);
+  EXPECT_THROW((void)table_from_affine(*cs, map), InvalidArgument);
+  EXPECT_THROW((void)search_affine(fft, cfg, serial), InvalidArgument);
+  EXPECT_THROW((void)build_strategy_spec(cs), InvalidArgument);
+  EXPECT_THROW((void)search_table(fft, cfg, serial, StrategyKind::kAnneal),
+               InvalidArgument);
+  const TableMap tm = table_from_mapping(*cs, serial);
+  EXPECT_THROW((void)analyze::build_exec_witness(*cs, tm), InvalidArgument);
+  // The TableMap oracles span every segment.
+  expect_legality_identical(verify(*cs, tm, ctx),
+                            reference::verify(fft, serial, cfg));
+  expect_cost_identical(evaluate_cost(*cs, tm, ctx),
+                        reference::evaluate_cost(fft, serial, cfg));
+}
+
+TEST(CompiledAffine, MapGridMustFitTheMachine) {
+  algos::SwScores s;
+  const FunctionSpec spec = algos::editdist_spec(4, 4, s);
+  const MachineConfig cfg = make_machine(4, 2);
+  const auto cs = compile_spec(spec, cfg, serial_mapping(spec));
+  EvalContext ctx(*cs);
+  const AffineMap wide{.ti = 1, .tj = 4, .xi = 1, .cols = 5, .rows = 1};
+  const AffineMap tall{.ti = 1, .tj = 4, .yi = 1, .cols = 1, .rows = 3};
+  const AffineMap empty{.ti = 1, .cols = 0, .rows = 1};
+  for (const AffineMap& m : {wide, tall, empty}) {
+    EXPECT_THROW((void)evaluate_cost(*cs, m, ctx), InvalidArgument);
+    EXPECT_THROW((void)verify(*cs, m, ctx), InvalidArgument);
+    EXPECT_THROW((void)verify_ok(*cs, m, ctx), InvalidArgument);
+  }
+  // A sub-grid map is the mapping it denotes on the full machine.
+  const AffineMap sub{.ti = 1, .tj = 4, .t0 = 8, .xi = 1, .cols = 3,
+                      .rows = 1};
+  Mapping full = serial_mapping(spec);
+  full.set_computed(spec.computed_tensors()[0], sub.place_fn(),
+                    sub.time_fn());
+  expect_cost_identical(evaluate_cost(*cs, sub, ctx),
+                        reference::evaluate_cost(spec, full, cfg));
+  expect_legality_identical(verify(*cs, sub, ctx),
+                            reference::verify(spec, full, cfg));
+}
+
+TEST(CompiledLegality, OneColumnGridsChargeVerticalHopsToVerticalLinks) {
+  // y(0) and y(2) read y(1).  On a 1x3 grid their N/S hops used to
+  // decode as "east" ((x + 1) % 1 == x), piling both onto one link:
+  // a false FM004 at 5.8 bits/cycle.  The transposed 3x1 mapping is the
+  // same traffic on E/W links.
+  FunctionSpec spec;
+  auto self = std::make_shared<TensorId>(-1);
+  const TensorId y = spec.add_computed(
+      "y", IndexDomain(3),
+      [self](const Point& p) {
+        return p.i == 1 ? std::vector<ValueRef>{}
+                        : std::vector<ValueRef>{{*self, Point{1, 0, 0}}};
+      },
+      [](const Point&, const std::vector<double>&) { return 1.0; });
+  *self = y;
+  spec.mark_output(y);
+  const auto rate_on = [&](int cols, int rows) {
+    MachineConfig cfg = make_machine(cols, rows);
+    cfg.link_bits_per_cycle = 4.0;
+    Mapping m;
+    m.set_computed(
+        y,
+        [cols](const Point& p) {
+          const int q = static_cast<int>(p.i);
+          return cols == 1 ? noc::Coord{0, q} : noc::Coord{q, 0};
+        },
+        [](const Point& p) { return p.i == 1 ? Cycle{0} : Cycle{10}; });
+    const LegalityReport rep = verify(spec, m, cfg);
+    expect_legality_identical(rep, reference::verify(spec, m, cfg));
+    EXPECT_TRUE(rep.ok) << cols << "x" << rows << ": " << rep.first_message();
+    return rep.peak_link_bits_per_cycle;
+  };
+  EXPECT_EQ(rate_on(1, 3), rate_on(3, 1));
+}
+
+TEST(CompiledLegality, RouteLegsReproduceTheGeometryRouteWalk) {
+  // The compiled bandwidth check and DeltaEval charge routes from the
+  // per-axis legs; on every pair of thin meshes and tori they must be
+  // exactly the links the geometry's route walk yields, in order.
+  FunctionSpec spec;
+  const TensorId a = spec.add_input("a", IndexDomain(1));
+  spec.add_computed(
+      "y", IndexDomain(1),
+      [a](const Point&) { return std::vector<ValueRef>{{a, Point{}}}; },
+      [](const Point&, const std::vector<double>& v) { return v[0]; });
+  Mapping proto;
+  proto.set_input(a, InputHome::dram());
+  for (const noc::Topology topo :
+       {noc::Topology::kMesh, noc::Topology::kTorus}) {
+    for (const auto& [cols, rows] :
+         {std::pair{1, 4}, std::pair{2, 5}, std::pair{5, 1}, std::pair{4, 2},
+          std::pair{3, 3}, std::pair{5, 4}}) {
+      MachineConfig cfg = make_machine(cols, rows);
+      cfg.geom = noc::GridGeometry(cols, rows, cfg.geom.pitch(),
+                                   cfg.geom.tech(), topo);
+      const auto cs = compile_spec(spec, cfg, proto);
+      for (std::size_t s = 0; s < cs->num_pes; ++s) {
+        for (std::size_t d = 0; d < cs->num_pes; ++d) {
+          std::vector<std::size_t> legs, walk;
+          cs->for_each_route_link(s, d,
+                                  [&](std::size_t l) { legs.push_back(l); });
+          cfg.geom.for_each_route_link(
+              cfg.geom.coord(s), cfg.geom.coord(d),
+              [&](std::size_t l) { walk.push_back(l); });
+          ASSERT_EQ(legs, walk) << cols << "x" << rows << " " << s << "->"
+                                << d;
+        }
+      }
+    }
   }
 }
 

@@ -18,6 +18,7 @@
 #include "fm/strategy/delta.hpp"
 #include "fm/strategy/strategy.hpp"
 #include "fm/strategy/table_map.hpp"
+#include "reference/reference.hpp"
 #include "sched/scheduler.hpp"
 #include "support/rng.hpp"
 
@@ -194,9 +195,9 @@ TEST(TableFromAffine, OracleParityCompiledAndLowered) {
             via_affine.peak_link_bits_per_cycle);
 
   const Mapping lowered = to_mapping(spec, tm);
-  expect_cost_identical(evaluate_cost(spec, lowered, cfg),
+  expect_cost_identical(reference::evaluate_cost(spec, lowered, cfg),
                         evaluate_cost(*cs, tm, ctx));
-  EXPECT_TRUE(verify(spec, lowered, cfg).ok);
+  EXPECT_TRUE(reference::verify(spec, lowered, cfg).ok);
 }
 
 TEST(DeltaEval, RandomMoveSequenceParity) {
@@ -353,7 +354,8 @@ TEST(SearchTable, WinnerIsLegalAndRescoredThroughFullOracle) {
   expect_cost_identical(r.cost, evaluate_cost(*f.cs, r.best, ctx));
   EXPECT_EQ(r.merit, merit_value(r.cost, opts.fom));
   // The lowered mapping passes the legacy verifier too.
-  EXPECT_TRUE(verify(f.spec, to_mapping(f.spec, r.best), f.cfg).ok);
+  EXPECT_TRUE(
+      reference::verify(f.spec, to_mapping(f.spec, r.best), f.cfg).ok);
 }
 
 TEST(SearchTable, AnnealReachesAffineOptimumOnTinySpace) {

@@ -2,6 +2,10 @@
 // including the paper's headline ratios as pinned constants.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "noc/mesh.hpp"
 #include "noc/tech.hpp"
 
@@ -393,6 +397,77 @@ TEST(DegenerateGrid, TwoByTwoTorusBehavesLikeAMesh) {
   EXPECT_EQ(d.hops, 2);
   EXPECT_DOUBLE_EQ(net.drain_time().picoseconds(), d.arrival.picoseconds());
   EXPECT_EQ(net.max_link_bits(), 64u);
+}
+
+// The one route walk: on every pair of every thin mesh and torus (one-
+// and two-wide axes are where modular neighbour tests go wrong), the
+// link ids for_each_route_link charges are the hops next_hop takes,
+// decoded independently here by the axis that moved and the sign of the
+// step, and exactly the links MeshNetwork's ledger charges.
+TEST(RouteWalk, LinkIdsAgreeWithNextHopAndMeshLedgerOnThinGrids) {
+  const auto step_dir = [](int from, int to, int extent, int inc, int dec) {
+    if (to == (from + 1) % extent && extent > 2) return inc;
+    if (extent <= 2) return to > from ? inc : dec;
+    return dec;
+  };
+  int grids = 0, pairs = 0;
+  for (const Topology topo : {Topology::kMesh, Topology::kTorus}) {
+    for (int r = 1; r <= 5; ++r) {
+      for (const auto& [cols, rows] :
+           {std::pair{1, r}, std::pair{2, r}, std::pair{r, 1},
+            std::pair{r, 2}}) {
+        const GridGeometry g(cols, rows, Length::millimetres(0.2), {}, topo);
+        ++grids;
+        for (int a = 0; a < g.num_nodes(); ++a) {
+          for (int b = 0; b < g.num_nodes(); ++b) {
+            const Coord src = g.coord(static_cast<std::size_t>(a));
+            const Coord dst = g.coord(static_cast<std::size_t>(b));
+            std::vector<std::size_t> walked;
+            g.for_each_route_link(src, dst,
+                                  [&](std::size_t l) { walked.push_back(l); });
+            std::vector<std::size_t> expect;
+            for (Coord at = src; !(at == dst);) {
+              const Coord next = g.next_hop(at, dst);
+              const int dir =
+                  next.x != at.x
+                      ? step_dir(at.x, next.x, cols, GridGeometry::kEast,
+                                 GridGeometry::kWest)
+                      : step_dir(at.y, next.y, rows, GridGeometry::kNorth,
+                                 GridGeometry::kSouth);
+              expect.push_back(g.index(at) * 4 + static_cast<std::size_t>(dir));
+              at = next;
+            }
+            ASSERT_EQ(walked, expect)
+                << cols << "x" << rows << " " << a << "->" << b;
+            ASSERT_EQ(walked.size(), static_cast<std::size_t>(g.hops(src, dst)));
+
+            MeshNetwork net(g);
+            (void)net.send(src, dst, 8, Time::zero());
+            std::size_t charged = 0;
+            for (int q = 0; q < g.num_nodes(); ++q) {
+              for (const MeshNetwork::Dir d :
+                   {MeshNetwork::kEast, MeshNetwork::kWest, MeshNetwork::kNorth,
+                    MeshNetwork::kSouth}) {
+                const std::uint64_t bits =
+                    net.link_bits(g.coord(static_cast<std::size_t>(q)), d);
+                if (bits == 0) continue;
+                const std::size_t id =
+                    static_cast<std::size_t>(q) * 4 + static_cast<std::size_t>(d);
+                EXPECT_NE(std::find(walked.begin(), walked.end(), id),
+                          walked.end())
+                    << cols << "x" << rows << " " << a << "->" << b;
+                charged += bits / 8;
+              }
+            }
+            EXPECT_EQ(charged, walked.size());
+            ++pairs;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(grids, 40);
+  EXPECT_GT(pairs, 0);
 }
 
 }  // namespace

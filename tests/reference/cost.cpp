@@ -1,22 +1,10 @@
-#include "fm/cost.hpp"
+#include "reference/reference.hpp"
 
 #include <algorithm>
 
 #include "fm/delivered.hpp"
 
-namespace harmony::fm {
-
-double merit_value(const CostReport& r, FigureOfMerit fom) {
-  switch (fom) {
-    case FigureOfMerit::kTime:
-      return r.makespan.picoseconds();
-    case FigureOfMerit::kEnergy:
-      return r.total_energy().femtojoules();
-    case FigureOfMerit::kEnergyDelay:
-      return r.energy_delay_product();
-  }
-  return 0.0;
-}
+namespace harmony::fm::reference {
 
 CostReport evaluate_cost(const FunctionSpec& spec, const Mapping& mapping,
                          const MachineConfig& machine) {
@@ -87,4 +75,4 @@ CostReport evaluate_cost(const FunctionSpec& spec, const Mapping& mapping,
   return rep;
 }
 
-}  // namespace harmony::fm
+}  // namespace harmony::fm::reference

@@ -1,4 +1,4 @@
-#include "fm/legality.hpp"
+#include "reference/reference.hpp"
 
 #include <algorithm>
 #include <sstream>
@@ -6,7 +6,7 @@
 
 #include "fm/delivered.hpp"
 
-namespace harmony::fm {
+namespace harmony::fm::reference {
 
 namespace {
 
@@ -56,24 +56,8 @@ LegalityReport verify(const FunctionSpec& spec, const Mapping& mapping,
   auto record_route = [&](noc::Coord src, noc::Coord dst,
                           std::uint64_t bits) {
     if (!opts.check_bandwidth || src == dst) return;
-    // Dimension-ordered route via the geometry (wrap-aware on a torus).
-    const auto& geom = machine.geom;
-    noc::Coord at = src;
-    while (!(at == dst)) {
-      const noc::Coord next = geom.next_hop(at, dst);
-      int dir;
-      if (next.x == (at.x + 1) % geom.cols()) {
-        dir = 0;  // E
-      } else if (next.x != at.x) {
-        dir = 1;  // W
-      } else if (next.y == (at.y + 1) % geom.rows()) {
-        dir = 2;  // N
-      } else {
-        dir = 3;  // S
-      }
-      link_bits[geom.index(at) * 4 + static_cast<std::size_t>(dir)] += bits;
-      at = next;
-    }
+    machine.geom.for_each_route_link(
+        src, dst, [&](std::size_t link) { link_bits[link] += bits; });
   };
 
   for (TensorId t : spec.computed_tensors()) {
@@ -244,4 +228,4 @@ LegalityReport verify(const FunctionSpec& spec, const Mapping& mapping,
   return rep;
 }
 
-}  // namespace harmony::fm
+}  // namespace harmony::fm::reference

@@ -1,8 +1,8 @@
-#include "fm/recompute.hpp"
+#include "reference/reference.hpp"
 
 #include <algorithm>
 
-namespace harmony::fm {
+namespace harmony::fm::reference {
 
 RecomputeReport recompute_report(const FunctionSpec& spec,
                                  const Mapping& mapping,
@@ -62,4 +62,4 @@ RecomputeReport recompute_report(const FunctionSpec& spec,
   return rep;
 }
 
-}  // namespace harmony::fm
+}  // namespace harmony::fm::reference

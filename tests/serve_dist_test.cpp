@@ -824,6 +824,123 @@ TEST(ServeDist, HostileFramesYieldErrorsAndTheShardKeepsServing) {
   serving.join();
 }
 
+TEST(ServeDist, FramesAskingUnboundedWorkYieldErrors) {
+  // Crafted frames whose decoded request would make the shard allocate
+  // without bound: search budgets past their kMaxWire* caps, a spec
+  // whose per-lane evaluation scratch exceeds compile_spec's budget, and
+  // an AffineMap wider than the machine.
+  Worker worker(small_worker());
+  ChannelPair pair = make_loopback_pair();
+  std::thread serving([&] { worker.serve(pair.right); });
+  SpecCatalog catalog;
+  std::uint64_t next_id = 1;
+  const auto ask = [&](const Request& req) {
+    Writer w;
+    encode(w, req, catalog);
+    const std::uint64_t id = next_id++;
+    EXPECT_TRUE(pair.left->send(Frame{MsgType::kSubmit, id, w.take()}));
+    Frame reply;
+    EXPECT_TRUE(pair.left->recv(reply));
+    EXPECT_EQ(reply.id, id);
+    Reader r(reply.body);
+    return decode_response(r);
+  };
+  const auto expect_error = [&](const Request& req, const std::string& why) {
+    const Response r = ask(req);
+    EXPECT_EQ(r.status, kError) << why;
+    EXPECT_NE(r.error.find(why), std::string::npos) << why << ": " << r.error;
+  };
+
+  std::vector<Request> over;
+  for (const fm::StrategyKind k :
+       {fm::StrategyKind::kAnneal, fm::StrategyKind::kBeam}) {
+    Request base = stochastic_req(catalog, k);
+    over.push_back(base);
+    over.back().strategy_opts.chains = kMaxWireChains + 1;
+    over.push_back(base);
+    over.back().strategy_opts.epochs = 2000000000;
+    over.push_back(base);
+    over.back().strategy_opts.iters_per_epoch = kMaxWireItersPerEpoch + 1;
+    over.push_back(base);
+    over.back().strategy_opts.beam_width = kMaxWireBeamWidth + 1;
+    over.push_back(base);
+    over.back().strategy_opts.beam_moves = kMaxWireBeamMoves + 1;
+  }
+  const Request tune = tune_req(catalog, "editdist:4x4", 4);
+  over.push_back(tune);
+  over.back().search.top_k = std::uint64_t{1} << 63;
+  over.push_back(tune);
+  over.back().search.quick_sample = kMaxWireQuickSample + 1;
+  over.push_back(tune);
+  over.back().search.space.time_coeffs.assign(kMaxWireCoeffs + 1, 1);
+  over.push_back(tune);
+  over.back().search.space.space_coeffs.assign(kMaxWireCoeffs + 1, 0);
+  over.push_back(pipeline_req(catalog, "diamond:4", true));
+  over.back().pipeline_pair_candidates = kMaxWirePairCandidates + 1;
+  for (const Request& req : over) expect_error(req, "exceeds");
+
+  // At the caps a request decodes (budgets are not rejected by value).
+  {
+    Request at = stochastic_req(catalog, fm::StrategyKind::kAnneal);
+    at.strategy_opts.chains = kMaxWireChains;
+    at.strategy_opts.epochs = kMaxWireEpochs;
+    at.strategy_opts.iters_per_epoch = kMaxWireItersPerEpoch;
+    at.strategy_opts.beam_width = kMaxWireBeamWidth;
+    at.strategy_opts.beam_moves = kMaxWireBeamMoves;
+    Writer w;
+    encode(w, at, catalog);
+    const std::vector<std::uint8_t> body = w.take();
+    Reader r(body);
+    const Request back = decode_request(r, catalog);
+    EXPECT_EQ(back.strategy_opts.chains, kMaxWireChains);
+    EXPECT_EQ(back.strategy_opts.beam_moves, kMaxWireBeamMoves);
+  }
+
+  // 65536 input values x 1024 PEs: a 256 MiB delivered table per lane.
+  Request huge;
+  huge.kind = RequestKind::kCostEval;
+  huge.spec = catalog.spec("irregular:262144,1,7");
+  huge.machine = fm::make_machine(32, 32);
+  huge.inputs = {InputPlacement::at({0, 0})};
+  huge.map = fm::AffineMap{.ti = 1, .xi = 1, .cols = 32, .rows = 32};
+  expect_error(huge, "scratch");
+  huge.kind = RequestKind::kTune;
+  expect_error(huge, "scratch");
+
+  // A map wider or taller than the machine: kError, where it used to
+  // alias rows of the compiled tables.
+  Request wide = cost_req(catalog, 4, 4, 2);
+  wide.map.cols = 3;
+  expect_error(wide, "map.cols");
+  Request tall = cost_req(catalog, 4, 4, 2);
+  tall.kind = RequestKind::kLegality;
+  tall.map.rows = 2;
+  expect_error(tall, "map.cols");
+
+  // A map on a sub-grid still answers, and what a full-machine mapping
+  // of the same places answers.
+  Request sub = cost_req(catalog, 4, 4, 4);
+  sub.map = fm::AffineMap{.ti = 1, .tj = 4, .t0 = 6, .xi = 1, .cols = 2,
+                          .rows = 1};
+  const Response r_sub = ask(sub);
+  ASSERT_EQ(r_sub.status, kOk) << r_sub.error;
+  fm::Mapping full;
+  full.set_computed(sub.spec->computed_tensors()[0], sub.map.place_fn(),
+                    sub.map.time_fn());
+  for (const fm::TensorId in : sub.spec->input_tensors()) {
+    full.set_input(in, fm::InputHome::at({0, 0}));
+  }
+  const fm::CostReport want = fm::evaluate_cost(*sub.spec, full, sub.machine);
+  EXPECT_EQ(r_sub.cost.makespan_cycles, want.makespan_cycles);
+  EXPECT_EQ(r_sub.cost.total_energy().femtojoules(),
+            want.total_energy().femtojoules());
+  EXPECT_EQ(r_sub.cost.messages, want.messages);
+
+  EXPECT_EQ(ask(cost_req(catalog, 4, 4, 2)).status, kOk);
+  pair.left->send(Frame{MsgType::kShutdown, 0, {}});
+  serving.join();
+}
+
 TEST(ServeDist, RequestsThatCannotCrossAreAnsweredErrorByTheRouter) {
   Fleet fleet(1);
   Request hooked = tune_req(fleet.catalog(), "editdist:4x4", 4);

@@ -701,5 +701,37 @@ TEST(TraceServe, RequestLifecycleSpansAreStitchedByRequestId) {
   EXPECT_GE(spans_named(cap, "serve", "batch").size(), 1u);
 }
 
+TEST(TraceServe, TuneCompilesOnceAndCertificationCompilesNothing) {
+  // A kTune compiles its one stage (the fm/compile span); certification
+  // lints and exec-checks the winner on that same compiled spec, and a
+  // cost eval of the same triple afterwards shares the compile cache.
+  TraceSession session;
+  {
+    serve::ServiceConfig cfg;
+    cfg.num_workers = 2;
+    serve::Service svc(cfg);
+    algos::SwScores scores;
+    serve::Request req;
+    req.kind = serve::RequestKind::kTune;
+    req.spec = std::make_shared<const fm::FunctionSpec>(
+        algos::editdist_spec(8, 8, scores));
+    req.machine = fm::make_machine(8, 1);
+    req.inputs = {serve::InputPlacement::at({0, 0}),
+                  serve::InputPlacement::at({0, 0})};
+    const serve::Response tuned = svc.call(req);
+    ASSERT_TRUE(tuned.ok()) << tuned.error;
+    ASSERT_TRUE(tuned.exec_checked);
+    req.kind = serve::RequestKind::kCostEval;
+    req.map = tuned.search.best.map;
+    const serve::Response priced = svc.call(req);
+    ASSERT_TRUE(priced.ok()) << priced.error;
+    EXPECT_EQ(priced.cost.makespan_cycles, tuned.cost.makespan_cycles);
+  }
+  session.stop();
+  const Capture cap = session.capture();
+  ASSERT_EQ(cap.dropped, 0u);
+  EXPECT_EQ(spans_named(cap, "fm", "compile").size(), 1u);
+}
+
 }  // namespace
 }  // namespace harmony::trace
