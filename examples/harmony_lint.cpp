@@ -213,16 +213,16 @@ int run_pipeline(const Args& args, const harmony::fm::MachineConfig& machine) {
       LintOptions lopts;
       lopts.max_diagnostics = args.max_diagnostics;
       lopts.verify.max_messages = args.max_diagnostics;
-      const LintReport rep = analyze::lint_mapping(
-          spec, fm::stage_mapping(pipe, s, opts.strategy, result), machine,
-          lopts);
-
+      // One compile per stage serves both the linter and the witness.
       const auto cs = fm::compile_spec(
           spec, machine, fm::stage_input_proto(pipe, s, opts.strategy, result));
+      const bool exhaustive = opts.strategy == fm::StrategyKind::kExhaustive;
+      const LintReport rep = analyze::lint_mapping(
+          *cs, exhaustive ? fm::table_from_affine(*cs, st.affine) : st.table,
+          lopts);
       const analyze::ExecWitness witness =
-          opts.strategy == fm::StrategyKind::kExhaustive
-              ? analyze::build_exec_witness(*cs, st.affine)
-              : analyze::build_exec_witness(*cs, st.table);
+          exhaustive ? analyze::build_exec_witness(*cs, st.affine)
+                     : analyze::build_exec_witness(*cs, st.table);
       analyze::ExecOptions eopts;
       eopts.max_diagnostics = args.max_diagnostics;
       const analyze::ExecReport er = analyze::ExecChecker(eopts).check(witness);

@@ -72,7 +72,7 @@ void expect_legality_identical(const LegalityReport& a,
 }
 
 /// The full Mapping a (compiled-spec, AffineMap) pair describes, for
-/// feeding the legacy oracles and the grid machine.
+/// feeding the reference oracles and the grid machine.
 Mapping materialize(const FunctionSpec& spec, TensorId target,
                     const AffineMap& map, const Mapping& input_proto) {
   Mapping m;
@@ -323,7 +323,7 @@ TEST(CompiledLegality, VerifyOkAgreesWithFullVerifyAcrossTheFamily) {
                     std::to_string(tj) + " xi=" + std::to_string(xi) +
                     " xj=" + std::to_string(xj) + " t0=" +
                     std::to_string(t0);
-                const LegalityReport full = verify(
+                const LegalityReport full = reference::verify(
                     spec, materialize(spec, target, map, proto), cfg, opts);
                 const TableMap tm = table_from_affine(*cs, map);
                 EXPECT_EQ(verify_ok(*cs, map, ctx, opts), full.ok) << where;
@@ -363,8 +363,8 @@ TEST(CompiledLegality, VerifyOkAgreesWithFullVerifyAcrossTheFamily) {
 
 TEST(CompiledSearch, WinnersMatchLegacyOraclesExactly) {
   // Search-driven parity: every candidate the compiled inner loop ranks
-  // must carry the exact CostReport the legacy oracle computes for the
-  // materialized mapping — and the legacy verifier must agree it's legal.
+  // must carry the exact CostReport the reference oracle computes for the
+  // materialized mapping — and the reference verifier must agree it's legal.
   algos::SwScores s;
   const FunctionSpec spec = algos::editdist_spec(8, 8, s);
   const MachineConfig cfg = make_machine(8, 1);

@@ -27,6 +27,7 @@
 #include "fm/cost.hpp"
 #include "fm/pipeline.hpp"
 #include "fm/search.hpp"
+#include "reference/reference.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
 
@@ -230,7 +231,7 @@ TEST(Pipeline, JoinStageMixesExternalAndProducerHomes) {
   const TensorId target = comb->computed_tensors().front();
   const AffineMap& jm = r.stages[1].affine;
   full.set_computed(target, jm.place_fn(), jm.time_fn());
-  const CostReport direct = evaluate_cost(*comb, full, machine);
+  const CostReport direct = reference::evaluate_cost(*comb, full, machine);
   EXPECT_EQ(r.stages[1].cost.makespan_cycles, direct.makespan_cycles);
   EXPECT_DOUBLE_EQ(r.stages[1].cost.total_energy().femtojoules(),
                    direct.total_energy().femtojoules());

@@ -27,7 +27,7 @@ namespace {
 
 /// Bit-for-bit CostReport equality — the contract between two delta
 /// evaluators over identical counters, and between the compiled
-/// TableMap oracle and the legacy oracle on the lowered Mapping.
+/// TableMap oracle and the reference oracle on the lowered Mapping.
 void expect_cost_identical(const CostReport& a, const CostReport& b) {
   EXPECT_EQ(a.makespan_cycles, b.makespan_cycles);
   EXPECT_EQ(a.makespan.picoseconds(), b.makespan.picoseconds());
@@ -168,7 +168,7 @@ TEST(SeedTable, LegalOnIrregularDagAndMatchesOracles) {
 TEST(TableFromAffine, OracleParityCompiledAndLowered) {
   // The affine family embedded in the table space: the snapshot must
   // score and verify exactly like the AffineMap it came from, and the
-  // lowered Mapping must agree with the legacy oracles bit-for-bit.
+  // lowered Mapping must agree with the reference oracles bit-for-bit.
   algos::SwScores s;
   const FunctionSpec spec = algos::editdist_spec(6, 6, s);
   const MachineConfig cfg = make_machine(6, 1);
@@ -353,7 +353,7 @@ TEST(SearchTable, WinnerIsLegalAndRescoredThroughFullOracle) {
   EXPECT_TRUE(verify_ok(*f.cs, r.best, ctx));
   expect_cost_identical(r.cost, evaluate_cost(*f.cs, r.best, ctx));
   EXPECT_EQ(r.merit, merit_value(r.cost, opts.fom));
-  // The lowered mapping passes the legacy verifier too.
+  // The lowered mapping passes the reference verifier too.
   EXPECT_TRUE(
       reference::verify(f.spec, to_mapping(f.spec, r.best), f.cfg).ok);
 }

@@ -40,6 +40,7 @@
 #include <thread>
 #include <vector>
 
+#include "reference/reference.hpp"
 #include "serve/catalog.hpp"
 #include "serve/router.hpp"
 #include "serve/service.hpp"
@@ -930,7 +931,8 @@ TEST(ServeDist, FramesAskingUnboundedWorkYieldErrors) {
   for (const fm::TensorId in : sub.spec->input_tensors()) {
     full.set_input(in, fm::InputHome::at({0, 0}));
   }
-  const fm::CostReport want = fm::evaluate_cost(*sub.spec, full, sub.machine);
+  const fm::CostReport want =
+      fm::reference::evaluate_cost(*sub.spec, full, sub.machine);
   EXPECT_EQ(r_sub.cost.makespan_cycles, want.makespan_cycles);
   EXPECT_EQ(r_sub.cost.total_energy().femtojoules(),
             want.total_energy().femtojoules());

@@ -18,6 +18,7 @@
 
 #include "algos/editdist.hpp"
 #include "fm/cost.hpp"
+#include "reference/reference.hpp"
 #include "serve/request.hpp"
 #include "serve/service.hpp"
 #include "support/rng.hpp"
@@ -160,7 +161,7 @@ TEST(ServeStress, MixedTrafficManyClientsTinyCache) {
     fm::CostReport direct;
     bool direct_ok = true;
     try {
-      direct = fm::evaluate_cost(*req.spec, m, req.machine);
+      direct = fm::reference::evaluate_cost(*req.spec, m, req.machine);
     } catch (const std::exception&) {
       direct_ok = false;
     }

@@ -18,6 +18,7 @@
 #include "fm/search.hpp"
 #include "fm/strategy/strategy.hpp"
 #include "fm/strategy/table_map.hpp"
+#include "reference/reference.hpp"
 #include "serve/cache.hpp"
 #include "serve/metrics.hpp"
 #include "serve/queue.hpp"
@@ -389,8 +390,8 @@ TEST(Service, CostEvalMatchesDirectOracleAndCaches) {
   Service svc(cfg);
 
   const Request req = editdist_cost_request(8, 8);
-  const fm::CostReport direct =
-      fm::evaluate_cost(*req.spec, editdist_mapping(req), req.machine);
+  const fm::CostReport direct = fm::reference::evaluate_cost(
+      *req.spec, editdist_mapping(req), req.machine);
 
   const Response r1 = svc.call(req);
   ASSERT_TRUE(r1.ok()) << r1.error;
@@ -419,8 +420,8 @@ TEST(Service, LegalityMatchesDirectVerify) {
   req.kind = RequestKind::kLegality;
   const Response r = svc.call(req);
   ASSERT_TRUE(r.ok()) << r.error;
-  const fm::LegalityReport direct =
-      fm::verify(*req.spec, editdist_mapping(req), req.machine, req.verify);
+  const fm::LegalityReport direct = fm::reference::verify(
+      *req.spec, editdist_mapping(req), req.machine, req.verify);
   EXPECT_EQ(r.legality.ok, direct.ok);
   EXPECT_EQ(r.legality.total_violations(), direct.total_violations());
 
@@ -621,7 +622,7 @@ TEST(Service, DeadlineCutTuneReturnsLegalMappingBeforeDeadline) {
                     r.search.best.map.time_fn());
   best.set_input(0, fm::InputHome::at({0, 0}));
   best.set_input(1, fm::InputHome::at({0, 0}));
-  EXPECT_TRUE(fm::verify(*req.spec, best, req.machine).ok);
+  EXPECT_TRUE(fm::reference::verify(*req.spec, best, req.machine).ok);
 
   // Deadline-cut results are NOT cached: a rerun recomputes.
   const Response again = svc.call(req);
@@ -654,10 +655,10 @@ TEST(Service, StrategyTuneMatchesDirectSearchAndCaches) {
   EXPECT_EQ(r.strategy.best.input_home, direct.best.input_home);
   EXPECT_EQ(r.strategy.merit, direct.merit);
   EXPECT_EQ(r.cost.makespan_cycles, direct.cost.makespan_cycles);
-  // The winner is legal through the legacy verifier on the lowered map.
-  EXPECT_TRUE(fm::verify(*req.spec,
-                         fm::to_mapping(*req.spec, r.strategy.best),
-                         req.machine)
+  // The winner is legal through the reference verifier on the lowered map.
+  EXPECT_TRUE(fm::reference::verify(*req.spec,
+                                    fm::to_mapping(*req.spec, r.strategy.best),
+                                    req.machine)
                   .ok);
   // And through the independent execution checker.
   EXPECT_TRUE(r.exec_checked);
@@ -697,9 +698,9 @@ TEST(Service, StrategyDeadlineCutReturnsBestSoFarUncached) {
   EXPECT_LT(elapsed, req.deadline + cfg.deadline_margin);
   ASSERT_TRUE(r.strategy.found);
   EXPECT_LT(r.strategy.epochs_run, req.strategy_opts.epochs);
-  EXPECT_TRUE(fm::verify(*req.spec,
-                         fm::to_mapping(*req.spec, r.strategy.best),
-                         req.machine)
+  EXPECT_TRUE(fm::reference::verify(*req.spec,
+                                    fm::to_mapping(*req.spec, r.strategy.best),
+                                    req.machine)
                   .ok);
 
   // Deadline-cut strategy results are NOT cached: a rerun recomputes.
